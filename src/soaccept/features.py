@@ -1,5 +1,9 @@
 """The 16 per-answer features and the tf-idf machinery behind them.
 
+Every post of a run is analyzed once (`analyze_records`): split into
+prose and code, tokenized, stemmed, and its code identifiers listed.  The
+pair corpus, the tf-idf fit and every feature read that analysis.
+
 A tf-idf "document" is one question-answer pair: the normalized prose
 tokens of both posts plus the identifier tokens of both posts' code.
 Document frequencies therefore count Q&A pairs, and N is the number of
@@ -24,6 +28,7 @@ from .ingest import PostRow, QARecord, UserRow
 from .textprep import (
     AnswerParts,
     count_code_lines,
+    load_stopwords,
     raw_tokens,
     remove_stop_words,
     split_code_blocks,
@@ -147,15 +152,9 @@ def tfidf_vector(model: TfIdfModel, doc: list[str]) -> dict[int, float]:
     return out
 
 
-def cosine_similarity(q, a) -> float:
-    """Cosine of two vectors; 0.0 when either has zero norm.
-
-    Accepts sparse mappings (index -> weight) or dense sequences.
-    """
-    if not isinstance(q, dict):
-        q = {i: float(v) for i, v in enumerate(q) if v}
-    if not isinstance(a, dict):
-        a = {i: float(v) for i, v in enumerate(a) if v}
+def cosine_similarity(q: dict[int, float], a: dict[int, float]) -> float:
+    """Cosine of two sparse vectors (index -> weight); 0.0 when either
+    has zero norm."""
     norm_q = math.sqrt(sum(v * v for _, v in sorted(q.items())))
     norm_a = math.sqrt(sum(v * v for _, v in sorted(a.items())))
     if norm_q == 0.0 or norm_a == 0.0:
@@ -164,22 +163,18 @@ def cosine_similarity(q, a) -> float:
     return dot / (norm_q * norm_a)
 
 
-def tf_answer_text(question_tokens, answer_tokens, model: TfIdfModel) -> float:
+def tfidf_similarity(question_tokens, answer_tokens, model: TfIdfModel) -> float:
+    """Cosine of two token streams' tf-idf vectors: TFAnswerText on the
+    answer's prose, TFAnswerCode on its code identifiers."""
     return cosine_similarity(
         tfidf_vector(model, question_tokens), tfidf_vector(model, answer_tokens)
     )
 
 
-def tf_answer_code(question_tokens, code_tokens, model: TfIdfModel) -> float:
-    return cosine_similarity(
-        tfidf_vector(model, question_tokens), tfidf_vector(model, code_tokens)
-    )
-
-
-def vector_concordance_similarity(question_text: str, answer_text: str) -> float:
+def vector_concordance_similarity(question_tokens, answer_tokens) -> float:
     """Cosine of raw word-count vectors over the pair's union vocabulary."""
-    q_counts = Counter(raw_tokens(question_text))
-    a_counts = Counter(raw_tokens(answer_text))
+    q_counts = Counter(question_tokens)
+    a_counts = Counter(answer_tokens)
     union = sorted(q_counts.keys() | a_counts.keys())
     index = {t: i for i, t in enumerate(union)}
     q_vec = {index[t]: float(c) for t, c in q_counts.items()}
@@ -199,9 +194,9 @@ def load_polarity_lexicon() -> dict[str, float]:
     return lexicon
 
 
-def text_polarity(text: str, lexicon: dict[str, float]) -> float:
-    """Mean signed valence of matched lexicon words; negator flips sign."""
-    tokens = raw_tokens(text)
+def text_polarity(tokens: list[str], lexicon: dict[str, float]) -> float:
+    """Mean signed valence of matched lexicon words over raw prose
+    tokens; a negator flips the sign of the next word."""
     total = 0.0
     matched = 0
     for i, tok in enumerate(tokens):
@@ -225,29 +220,6 @@ def load_keywords() -> frozenset[str]:
 
 def extract_identifiers(code: str, keywords: frozenset[str]) -> list[str]:
     return [t for t in _IDENTIFIER_RE.findall(code) if t not in keywords]
-
-
-@dataclass
-class CountFeatures:
-    number_of_words: int
-    number_of_sentence: int
-    url_count: int
-    number_of_code_line: int
-    codelength: int
-
-
-def count_features(
-    parts: AnswerParts, stop_list: frozenset[str], keywords: frozenset[str]
-) -> CountFeatures:
-    return CountFeatures(
-        number_of_words=len(remove_stop_words(raw_tokens(parts.prose_text), stop_list)),
-        number_of_sentence=len(split_sentences(parts.prose_text)),
-        url_count=len(_URL_RE.findall(parts.prose_text)),
-        number_of_code_line=count_code_lines(parts.code_blocks),
-        codelength=sum(
-            len(extract_identifiers(block, keywords)) for block in parts.code_blocks
-        ),
-    )
 
 
 class ClockAnomalyError(Exception):
@@ -285,79 +257,85 @@ class FeatureMatrix:
 
 
 @dataclass
-class _PostText:
+class PostText:
+    """One post, analyzed once."""
+
     parts: AnswerParts
-    prose_tokens: list[str]
+    raw_tokens: list[str]  # lowercased prose words, numbers dropped
+    prose_tokens: list[str]  # raw tokens without stop words, stemmed
     code_ids: list[str]  # lowercased identifier tokens
 
 
-def _analyze_post(post: PostRow, stop_list, keywords) -> _PostText:
+@dataclass
+class AnalyzedRecord:
+    record: QARecord  # answers in id order
+    question: PostText
+    answers: list[PostText]  # parallel to record.answers
+
+
+def _analyze_post(post: PostRow, stop_list, keywords) -> PostText:
     parts = split_code_blocks(post.body)
-    prose_tokens = tokenize(parts.prose_text, stop_list)
-    code_ids = [
-        t.lower()
-        for block in parts.code_blocks
-        for t in extract_identifiers(block, keywords)
-    ]
-    return _PostText(parts=parts, prose_tokens=prose_tokens, code_ids=code_ids)
+    return PostText(
+        parts=parts,
+        raw_tokens=raw_tokens(parts.prose_text),
+        prose_tokens=tokenize(parts.prose_text, stop_list),
+        code_ids=[
+            t.lower()
+            for block in parts.code_blocks
+            for t in extract_identifiers(block, keywords)
+        ],
+    )
 
 
-def build_pair_corpus(
+def analyze_records(
     records: list[QARecord],
     stop_list: frozenset[str] | None = None,
     keywords: frozenset[str] | None = None,
-) -> list[list[str]]:
-    """Token document per Q&A pair: both prose streams plus both
-    identifier streams, in (question id, answer id) order."""
+) -> list[AnalyzedRecord]:
+    """Analyze every post once, in (question id, answer id) order."""
     if stop_list is None:
-        stop_list = _default_stopwords()
+        stop_list = load_stopwords()
     if keywords is None:
         keywords = load_keywords()
-    corpus = []
+    analyzed = []
     for rec in sorted(records, key=lambda r: r.question.id):
-        qt = _analyze_post(rec.question, stop_list, keywords)
-        for entry in sorted(rec.answers, key=lambda e: e.post.id):
-            at = _analyze_post(entry.post, stop_list, keywords)
-            corpus.append(qt.prose_tokens + at.prose_tokens + qt.code_ids + at.code_ids)
-    return corpus
+        answers = sorted(rec.answers, key=lambda e: e.post.id)
+        analyzed.append(
+            AnalyzedRecord(
+                record=QARecord(question=rec.question, answers=answers),
+                question=_analyze_post(rec.question, stop_list, keywords),
+                answers=[_analyze_post(e.post, stop_list, keywords) for e in answers],
+            )
+        )
+    return analyzed
+
+
+def build_pair_corpus(analyzed: list[AnalyzedRecord]) -> list[list[str]]:
+    """Token document per Q&A pair: both prose streams plus both
+    identifier streams, in (question id, answer id) order."""
+    return [
+        rec.question.prose_tokens + at.prose_tokens + rec.question.code_ids + at.code_ids
+        for rec in analyzed
+        for at in rec.answers
+    ]
 
 
 def extract_matrix(
-    records: list[QARecord],
+    analyzed: list[AnalyzedRecord],
+    tfidf_model: TfIdfModel,
     stop_list: frozenset[str] | None = None,
     lexicon: dict[str, float] | None = None,
-    keywords: frozenset[str] | None = None,
-    tfidf_model: TfIdfModel | None = None,
 ) -> FeatureMatrix:
     """One feature row per answer, ordered by (question id, answer id).
 
-    The tf-idf model is fitted once over every Q&A pair of the run, then
-    applied per answer; passing `tfidf_model` reuses frequencies from an
-    earlier corpus instead.  Answers that predate their question (clock
-    anomaly) are dropped and counted in stats.
+    `tfidf_model` is fitted over the run's pair corpus, or loaded from
+    an earlier run to score new candidates.  Answers that predate their
+    question (clock anomaly) are dropped and counted in stats.
     """
     if stop_list is None:
-        stop_list = _default_stopwords()
+        stop_list = load_stopwords()
     if lexicon is None:
         lexicon = load_polarity_lexicon()
-    if keywords is None:
-        keywords = load_keywords()
-
-    ordered = sorted(records, key=lambda r: r.question.id)
-    q_texts = [_analyze_post(r.question, stop_list, keywords) for r in ordered]
-    a_texts = [
-        [_analyze_post(a.post, stop_list, keywords) for a in sorted(r.answers, key=lambda e: e.post.id)]
-        for r in ordered
-    ]
-
-    if tfidf_model is not None:
-        model = tfidf_model
-    else:
-        corpus = []
-        for qt, answers in zip(q_texts, a_texts):
-            for at in answers:
-                corpus.append(qt.prose_tokens + at.prose_tokens + qt.code_ids + at.code_ids)
-        model = fit_tfidf(corpus) if corpus else None
 
     rows = []
     labels = []
@@ -368,9 +346,9 @@ def extract_matrix(
         "rows_negative_signup_lag": 0,
         "unclosed_code_blocks": 0,
     }
-    for rec, qt, answers in zip(ordered, q_texts, a_texts):
-        entries = sorted(rec.answers, key=lambda e: e.post.id)
-        for entry, at in zip(entries, answers):
+    for analysis in analyzed:
+        rec, qt = analysis.record, analysis.question
+        for entry, at in zip(rec.answers, analysis.answers):
             try:
                 timelag, signup_lag = time_features(rec.question, entry.post, entry.user)
             except ClockAnomalyError:
@@ -380,24 +358,24 @@ def extract_matrix(
                 stats["rows_negative_signup_lag"] += 1
             if at.parts.unclosed_code:
                 stats["unclosed_code_blocks"] += 1
-            counts = count_features(at.parts, stop_list, keywords)
+            prose = at.parts.prose_text
             row = (
                 float(timelag),
-                float(counts.url_count),
+                float(len(_URL_RE.findall(prose))),
                 float(entry.post.comment_count),
                 float(entry.user.reputation),
-                text_polarity(at.parts.prose_text, lexicon),
+                text_polarity(at.raw_tokens, lexicon),
                 float(len(rec.answers)),
                 float(rec.question.view_count or 0),
                 float(entry.post.score),
-                float(counts.number_of_code_line),
-                float(counts.number_of_sentence),
-                vector_concordance_similarity(qt.parts.prose_text, at.parts.prose_text),
-                float(counts.codelength),
-                tf_answer_code(qt.prose_tokens, at.code_ids, model),
-                tf_answer_text(qt.prose_tokens, at.prose_tokens, model),
+                float(count_code_lines(at.parts.code_blocks)),
+                float(len(split_sentences(prose))),
+                vector_concordance_similarity(qt.raw_tokens, at.raw_tokens),
+                float(len(at.code_ids)),
+                tfidf_similarity(qt.prose_tokens, at.code_ids, tfidf_model),
+                tfidf_similarity(qt.prose_tokens, at.prose_tokens, tfidf_model),
                 float(signup_lag),
-                float(counts.number_of_words),
+                float(len(remove_stop_words(at.raw_tokens, stop_list))),
             )
             rows.append(row)
             labels.append(1 if entry.accepted else 0)
@@ -413,12 +391,6 @@ def extract_matrix(
         answer_ids=np.array(aids, dtype=np.int64),
         stats=stats,
     )
-
-
-def _default_stopwords() -> frozenset[str]:
-    from .textprep import load_stopwords
-
-    return load_stopwords()
 
 
 def format_value(v: float) -> str:

@@ -108,7 +108,6 @@ class QARecord:
 class IngestFilter:
     tags_any_of: frozenset[str]
     year_range: tuple[int, int]
-    require_accepted: bool = True
 
     def __post_init__(self):
         if self.year_range[0] > self.year_range[1]:
@@ -247,10 +246,6 @@ def build_dataset(
     owner missing from the user table) with at least one competitor.
     Answers are sorted by id within a record, records by question id,
     regardless of input order.
-
-    `require_accepted` exists for interface symmetry: every emitted
-    record carries exactly one accepted answer by invariant, so the flag
-    does not relax the acceptance requirement.
     """
     questions: dict[int, PostRow] = {}
     answers_by_parent: dict[int, list[PostRow]] = defaultdict(list)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +33,7 @@ import numpy as np
 
 from .features import (
     FEATURE_NAMES,
+    analyze_records,
     build_pair_corpus,
     extract_matrix,
     fit_tfidf,
@@ -102,7 +102,6 @@ DEFAULT_CONFIG = {
     "filter": {
         "tags": ["java", "javascript"],
         "years": [2014, 2016],
-        "require_accepted": True,
     },
     "selection": {"r_threshold": 0.7, "ig_threshold": 0.4, "mi_k": 3},
     "split": {"train_fraction": 0.7},
@@ -225,7 +224,6 @@ class RunConfig:
     threads: int
     tags: tuple
     years: tuple
-    require_accepted: bool
     r_threshold: float
     ig_threshold: float
     mi_k: int
@@ -260,9 +258,6 @@ class RunConfig:
             threads=_as_int(d["threads"], "threads"),
             tags=tuple(_as_str_list(d["filter"]["tags"], "filter.tags")),
             years=(_as_int(years[0], "filter.years"), _as_int(years[1], "filter.years")),
-            require_accepted=_as_bool(
-                d["filter"]["require_accepted"], "filter.require_accepted"
-            ),
             r_threshold=_as_float(d["selection"]["r_threshold"], "selection.r_threshold"),
             ig_threshold=_as_float(
                 d["selection"]["ig_threshold"], "selection.ig_threshold"
@@ -300,11 +295,7 @@ class RunConfig:
         return cfg
 
     def ingest_filter(self) -> IngestFilter:
-        return IngestFilter(
-            tags_any_of=frozenset(self.tags),
-            year_range=self.years,
-            require_accepted=self.require_accepted,
-        )
+        return IngestFilter(tags_any_of=frozenset(self.tags), year_range=self.years)
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(
@@ -344,11 +335,7 @@ class RunConfig:
             "workdir": self.workdir,
             "seed": self.seed,
             "threads": self.threads,
-            "filter": {
-                "tags": list(self.tags),
-                "years": list(self.years),
-                "require_accepted": self.require_accepted,
-            },
+            "filter": {"tags": list(self.tags), "years": list(self.years)},
             "selection": {
                 "r_threshold": self.r_threshold,
                 "ig_threshold": self.ig_threshold,
@@ -645,8 +632,9 @@ def cmd_features(cfg: RunConfig) -> dict:
     records = read_dataset(p.dataset)
     if not records:
         raise DataError("dataset.jsonl holds no records")
-    tfidf = fit_tfidf(build_pair_corpus(records))
-    matrix = extract_matrix(records, tfidf_model=tfidf)
+    analyzed = analyze_records(records)
+    tfidf = fit_tfidf(build_pair_corpus(analyzed))
+    matrix = extract_matrix(analyzed, tfidf)
     if matrix.x.shape[0] == 0:
         raise DataError("every answer row was dropped during extraction")
     write_features_csv(matrix, p.features_csv)
@@ -960,9 +948,19 @@ def _candidate_record(payload: dict) -> tuple[QARecord, list]:
             raise DataError(f'answers[{i}] needs a "body" string')
         missing = set()
         a_ts = _candidate_ts(answer.get("creation_ts"), f"answers[{i}].creation_ts")
+        signup_ts = _candidate_ts(
+            answer.get("user_creation_ts"), f"answers[{i}].user_creation_ts"
+        )
+        # the signup lag runs to the answer's own clock, or to the question
+        # instant when the answer has none
+        own_ts = a_ts if a_ts is not None else q_row.creation_ts
+        if signup_ts is None or signup_ts > own_ts:
+            signup_ts = own_ts
+            missing.add("SignUpDateTimeLag")
         if q_ts is None or a_ts is None or a_ts < q_ts:
             # no usable pair of clocks; park the answer at the question
-            # instant and let the median fill Timelag
+            # instant, keeping its signup lag, and let the median fill Timelag
+            signup_ts += q_row.creation_ts - own_ts
             a_ts = q_row.creation_ts
             missing.add("Timelag")
         score = answer.get("score")
@@ -977,12 +975,6 @@ def _candidate_record(payload: dict) -> tuple[QARecord, list]:
         if not isinstance(reputation, int) or isinstance(reputation, bool):
             reputation = 0
             missing.add("Reputation")
-        signup_ts = _candidate_ts(
-            answer.get("user_creation_ts"), f"answers[{i}].user_creation_ts"
-        )
-        if signup_ts is None or signup_ts > a_ts:
-            signup_ts = a_ts
-            missing.add("SignUpDateTimeLag")
         if q_row.view_count is None:
             missing.add("ViewCount")
         entries.append(
@@ -1027,7 +1019,7 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
     record, imputed = _candidate_record(payload)
 
     tfidf = load_tfidf(p.tfidf)
-    matrix = extract_matrix([record], tfidf_model=tfidf)
+    matrix = extract_matrix(analyze_records([record]), tfidf)
     n = len(record.answers)
     if matrix.x.shape[0] != n:
         raise DataError("candidate rows were dropped during extraction")

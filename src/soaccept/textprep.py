@@ -99,8 +99,3 @@ def count_code_lines(code_blocks: list[str]) -> int:
 def load_stopwords() -> frozenset[str]:
     text = resources.files("soaccept.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w for w in (line.strip() for line in text.splitlines()) if w)
-
-
-def load_stopwords_from(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(w for w in (line.strip() for line in fh) if w)

@@ -41,6 +41,12 @@ def test_config_error_exits_2(tmp_path):
     assert run_cli("run", *common(tmp_path), "--set", "threads=0") == 2
 
 
+def test_removed_require_accepted_key_exits_2(tmp_path, capsys):
+    code = run_cli("run", *common(tmp_path), "--set", "filter.require_accepted=false")
+    assert code == 2
+    assert "unknown configuration key: filter.require_accepted" in capsys.readouterr().err
+
+
 def test_data_error_exits_3(tmp_path):
     bad = tmp_path / "Posts.xml"
     bad.write_text("<posts><row Id='1'", encoding="utf-8")

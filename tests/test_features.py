@@ -9,8 +9,8 @@ from soaccept.features import (
     FEATURE_NAMES,
     ClockAnomalyError,
     TfIdfError,
+    analyze_records,
     cosine_similarity,
-    count_features,
     extract_identifiers,
     build_pair_corpus,
     extract_matrix,
@@ -23,14 +23,13 @@ from soaccept.features import (
     load_polarity_lexicon,
     read_features_csv,
     text_polarity,
-    tf_answer_text,
     tfidf_vector,
     time_features,
     vector_concordance_similarity,
     write_features_csv,
 )
 from soaccept.ingest import AnswerEntry, PostRow, QARecord, UserRow, parse_timestamp
-from soaccept.textprep import load_stopwords, split_code_blocks
+from soaccept.textprep import load_stopwords, raw_tokens
 
 STOP = load_stopwords()
 LEXICON = load_polarity_lexicon()
@@ -86,7 +85,7 @@ def test_empty_document_zero_vector():
 def test_cosine_identity_orthogonal_mixed():
     assert cosine_similarity({0: 2.0, 1: 1.0}, {0: 2.0, 1: 1.0}) == pytest.approx(1.0)
     assert cosine_similarity({0: 1.0}, {1: 1.0}) == 0.0
-    assert cosine_similarity((1, 0, 1), (1, 1, 0)) == pytest.approx(0.5, abs=1e-12)
+    assert cosine_similarity({0: 1.0, 2: 1.0}, {0: 1.0, 1: 1.0}) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cosine_zero_norm_convention():
@@ -123,68 +122,51 @@ def test_weights_match_bruteforce_eq(corpus, doc):
         assert vec[k] == pytest.approx(expected[k], abs=1e-9)
 
 
+def concordance(question_text, answer_text):
+    return vector_concordance_similarity(raw_tokens(question_text), raw_tokens(answer_text))
+
+
+def polarity(text):
+    return text_polarity(raw_tokens(text), LEXICON)
+
+
 def test_concordance_examples():
-    assert vector_concordance_similarity("same words here", "same words here") == pytest.approx(1.0)
-    assert vector_concordance_similarity("alpha beta", "gamma delta") == 0.0
-    assert vector_concordance_similarity("cat dog", "cat cat") == pytest.approx(
+    assert concordance("same words here", "same words here") == pytest.approx(1.0)
+    assert concordance("alpha beta", "gamma delta") == 0.0
+    assert concordance("cat dog", "cat cat") == pytest.approx(
         2 / (math.sqrt(2) * 2), abs=1e-12
     )
 
 
 @given(st.integers(1, 6))
 def test_concordance_scale_invariance(k):
-    base = vector_concordance_similarity("cat dog dog", "cat bird")
-    scaled = vector_concordance_similarity(" ".join(["cat dog dog"] * k), "cat bird")
+    base = concordance("cat dog dog", "cat bird")
+    scaled = concordance(" ".join(["cat dog dog"] * k), "cat bird")
     assert scaled == pytest.approx(base, abs=1e-12)
 
 
 def test_polarity_lexicon_and_negation():
     assert LEXICON["good"] == pytest.approx(0.7)
-    assert text_polarity("good", LEXICON) == pytest.approx(0.7)
-    assert text_polarity("not good", LEXICON) == pytest.approx(-0.7)
-    assert text_polarity("", LEXICON) == 0.0
-    assert text_polarity("the compiler reads files", LEXICON) == 0.0
+    assert polarity("good") == pytest.approx(0.7)
+    assert polarity("not good") == pytest.approx(-0.7)
+    assert polarity("") == 0.0
+    assert polarity("the compiler reads files") == 0.0
 
 
 def test_polarity_is_mean_of_matches():
-    assert text_polarity("good but wrong", LEXICON) == pytest.approx((0.7 - 0.6) / 2)
+    assert polarity("good but wrong") == pytest.approx((0.7 - 0.6) / 2)
 
 
 def test_polarity_contraction_negator():
     # "doesn't work nicely" tokenizes to [doesn, t, work, nicely]
-    assert text_polarity("it works", LEXICON) == pytest.approx(0.6)
-    assert text_polarity("doesn't works", LEXICON) == pytest.approx(-0.6)
+    assert polarity("it works") == pytest.approx(0.6)
+    assert polarity("doesn't works") == pytest.approx(-0.6)
 
 
 def test_identifier_extraction():
     ids = extract_identifiers("int x = y + 2;", KEYWORDS)
     assert ids == ["x", "y"]
     assert extract_identifiers("for (let i = 0; i < n; i++)", KEYWORDS) == ["i", "i", "n", "i"]
-
-
-def test_count_features_code_and_urls():
-    parts = split_code_blocks(
-        "<p>see http://a.b and https://c.d for more. Second sentence.</p>"
-        "<code>int x = y + 2;\n\nz = x;</code>"
-    )
-    counts = count_features(parts, STOP, KEYWORDS)
-    assert counts.url_count == 2
-    assert counts.number_of_code_line == 2
-    assert counts.codelength == 4  # x, y, z, x; "int" is a keyword
-    assert counts.number_of_sentence == 2
-
-
-def test_count_features_no_code():
-    parts = split_code_blocks("<p>plain simple words</p>")
-    counts = count_features(parts, STOP, KEYWORDS)
-    assert counts.number_of_code_line == 0
-    assert counts.codelength == 0
-    assert counts.number_of_words == 3
-
-
-def test_number_of_words_excludes_stop_words():
-    parts = split_code_blocks("the quick brown fox")
-    assert count_features(parts, STOP, KEYWORDS).number_of_words == 3
 
 
 TS_Q = parse_timestamp("2014-03-01T10:00:00.000")
@@ -240,8 +222,43 @@ def _record(qid=1, n_answers=2, accepted_index=0, q_body="<p>How do I sort an ar
     return QARecord(question=q, answers=answers)
 
 
+def extract(records):
+    analyzed = analyze_records(records, STOP, KEYWORDS)
+    return extract_matrix(analyzed, fit_tfidf(build_pair_corpus(analyzed)), STOP, LEXICON)
+
+
+def answer_row(body):
+    """Feature row of one answer with `body`, as a name -> value map."""
+    rec = _record(1, 2)
+    rec.answers[0].post.body = body
+    m = extract([rec])
+    return dict(zip(m.names, m.x[0]))
+
+
+def test_count_features_code_and_urls():
+    row = answer_row(
+        "<p>see http://a.b and https://c.d for more. Second sentence.</p>"
+        "<code>int x = y + 2;\n\nz = x;</code>"
+    )
+    assert row["URLCount"] == 2
+    assert row["NumberOfCodeLine"] == 2
+    assert row["Codelength"] == 4  # x, y, z, x; "int" is a keyword
+    assert row["NumberOfSentence"] == 2
+
+
+def test_count_features_no_code():
+    row = answer_row("<p>plain simple words</p>")
+    assert row["NumberOfCodeLine"] == 0
+    assert row["Codelength"] == 0
+    assert row["NumberOfWords"] == 3
+
+
+def test_number_of_words_excludes_stop_words():
+    assert answer_row("the quick brown fox")["NumberOfWords"] == 3
+
+
 def test_extract_matrix_shape_and_labels():
-    m = extract_matrix([_record(1, 2), _record(2, 3, accepted_index=1)], STOP, LEXICON, KEYWORDS)
+    m = extract([_record(1, 2), _record(2, 3, accepted_index=1)])
     assert m.x.shape == (5, 16)
     assert m.y.tolist() == [1, 0, 0, 1, 0]
     assert m.names == FEATURE_NAMES
@@ -252,12 +269,12 @@ def test_extract_matrix_shape_and_labels():
 
 
 def test_extract_matrix_empty():
-    m = extract_matrix([], STOP, LEXICON, KEYWORDS)
+    m = extract_matrix([], fit_tfidf([["cat"]]), STOP, LEXICON)
     assert m.x.shape == (0, 16)
 
 
 def test_extract_matrix_row_values():
-    m = extract_matrix([_record(1, 2)], STOP, LEXICON, KEYWORDS)
+    m = extract([_record(1, 2)])
     names = list(m.names)
     row0 = dict(zip(names, m.x[0]))
     assert row0["Timelag"] == 60_000.0
@@ -275,8 +292,8 @@ def test_extract_matrix_row_values():
 
 def test_extract_matrix_order_insensitive():
     records = [_record(3, 2), _record(1, 3), _record(2, 2)]
-    base = extract_matrix(records, STOP, LEXICON, KEYWORDS)
-    flipped = extract_matrix(records[::-1], STOP, LEXICON, KEYWORDS)
+    base = extract(records)
+    flipped = extract(records[::-1])
     assert base == flipped
     assert base.question_ids.tolist() == sorted(base.question_ids.tolist())
 
@@ -284,7 +301,7 @@ def test_extract_matrix_order_insensitive():
 def test_extract_matrix_drops_clock_anomaly_rows():
     rec = _record(1, 3)
     rec.answers[2].post.creation_ts = rec.question.creation_ts - 5
-    m = extract_matrix([rec], STOP, LEXICON, KEYWORDS)
+    m = extract([rec])
     assert m.x.shape[0] == 2
     assert m.stats["rows_dropped_negative_timelag"] == 1
 
@@ -292,7 +309,7 @@ def test_extract_matrix_drops_clock_anomaly_rows():
 def test_extract_matrix_flags_negative_signup_lag():
     rec = _record(1, 2)
     rec.answers[1].user.creation_ts = rec.answers[1].post.creation_ts + 10
-    m = extract_matrix([rec], STOP, LEXICON, KEYWORDS)
+    m = extract([rec])
     assert m.x.shape[0] == 2
     assert m.stats["rows_negative_signup_lag"] == 1
     row = dict(zip(m.names, m.x[1]))
@@ -301,7 +318,7 @@ def test_extract_matrix_flags_negative_signup_lag():
 
 def test_similarity_features_always_in_unit_interval():
     records = [_record(i, 2 + i % 3) for i in range(1, 6)]
-    m = extract_matrix(records, STOP, LEXICON, KEYWORDS)
+    m = extract(records)
     for name in ("TextualSimilarity", "TFAnswerCode", "TFAnswerText"):
         col = m.x[:, list(m.names).index(name)]
         assert np.all(col >= 0.0) and np.all(col <= 1.0)
@@ -315,7 +332,7 @@ def test_format_value():
 
 
 def test_features_csv_round_trip(tmp_path):
-    m = extract_matrix([_record(1, 2), _record(2, 2)], STOP, LEXICON, KEYWORDS)
+    m = extract([_record(1, 2), _record(2, 2)])
     path = tmp_path / "features.csv"
     write_features_csv(m, path)
     header = path.read_text().splitlines()[0]
@@ -365,15 +382,13 @@ def test_extract_matrix_accepts_prefit_model():
         _echo_record(2, "shrink images", "Shrink images from the edges.",
                      "Buy more disk space."),
     ]
-    corpus = build_pair_corpus(records, STOP, KEYWORDS)
+    analyzed = analyze_records(records, STOP, KEYWORDS)
+    corpus = build_pair_corpus(analyzed)
     assert len(corpus) == 4
-    model = fit_tfidf(corpus)
-    fresh = extract_matrix(records, STOP, LEXICON, KEYWORDS)
-    reused = extract_matrix(records, STOP, LEXICON, KEYWORDS, tfidf_model=model)
-    assert np.array_equal(fresh.x, reused.x)
+    fresh = extract_matrix(analyzed, fit_tfidf(corpus), STOP, LEXICON)
     # a model from a different corpus shifts the similarity columns only
     other = fit_tfidf([["unrelated", "terms"]])
-    shifted = extract_matrix(records, STOP, LEXICON, KEYWORDS, tfidf_model=other)
+    shifted = extract_matrix(analyzed, other, STOP, LEXICON)
     text_col = FEATURE_NAMES.index("TFAnswerText")
     keep = [i for i in range(16) if i != text_col]
     assert np.array_equal(fresh.x[:, keep], shifted.x[:, keep])

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from soaccept import features, pipeline
+from soaccept.ingest import parse_timestamp, read_dataset
 from soaccept.pipeline import (
     ConfigError,
     DataError,
@@ -252,6 +254,22 @@ def test_changed_source_dump_marks_ingest_stale(run_dir, tmp_path):
         cmd_features(cfg)
 
 
+def test_features_analyze_each_post_once(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path / "wd")
+    cmd_ingest(cfg)
+    calls = []
+    split = features.split_code_blocks
+
+    def counting_split(body):
+        calls.append(body)
+        return split(body)
+
+    monkeypatch.setattr(features, "split_code_blocks", counting_split)
+    cmd_features(cfg)
+    records = read_dataset(paths_for(cfg).dataset)
+    assert len(calls) == sum(1 + len(r.answers) for r in records)
+
+
 def test_ingest_requires_paths(tmp_path):
     cfg = load_config(workdir=str(tmp_path / "wd"))
     with pytest.raises(ConfigError, match="posts"):
@@ -392,6 +410,29 @@ def test_rank_missing_timestamps_fall_back_to_medians(run_dir, tmp_path):
     medians = json.loads((run_dir / "models/smote/medians.json").read_text("utf-8"))
     lookup = dict(zip(medians["names"], medians["values"]))
     assert lookup["Timelag"] > 0
+
+
+def test_rank_signup_lag_kept_without_question_clock(run_dir, tmp_path, monkeypatch):
+    payload = rank_payload()
+    del payload["question"]["creation_ts"]
+    strong = payload["answers"][1]
+    payload["answers"] = [strong]
+    extracted = []
+    extract = pipeline.extract_matrix
+
+    def keep_matrix(*args, **kwargs):
+        extracted.append(extract(*args, **kwargs))
+        return extracted[-1]
+
+    monkeypatch.setattr(pipeline, "extract_matrix", keep_matrix)
+    result = cmd_rank(make_config(run_dir), write_payload(tmp_path, payload))
+    assert result["candidates"][0]["imputed"] == ["Timelag"]
+    # the matrix after imputation: the lag is the answer's own, not the median
+    row = dict(zip(extracted[0].names, extracted[0].x[0]))
+    want = parse_timestamp(strong["creation_ts"]) - parse_timestamp(strong["user_creation_ts"])
+    assert row["SignUpDateTimeLag"] == want
+    medians = json.loads((run_dir / "models/smote/medians.json").read_text("utf-8"))
+    assert dict(zip(medians["names"], medians["values"]))["SignUpDateTimeLag"] != want
 
 
 def test_rank_rejects_malformed_input(run_dir, tmp_path):
