@@ -163,14 +163,6 @@ def cosine_similarity(q: dict[int, float], a: dict[int, float]) -> float:
     return dot / (norm_q * norm_a)
 
 
-def tfidf_similarity(question_tokens, answer_tokens, model: TfIdfModel) -> float:
-    """Cosine of two token streams' tf-idf vectors: TFAnswerText on the
-    answer's prose, TFAnswerCode on its code identifiers."""
-    return cosine_similarity(
-        tfidf_vector(model, question_tokens), tfidf_vector(model, answer_tokens)
-    )
-
-
 def vector_concordance_similarity(question_tokens, answer_tokens) -> float:
     """Cosine of raw word-count vectors over the pair's union vocabulary."""
     q_counts = Counter(question_tokens)
@@ -348,6 +340,8 @@ def extract_matrix(
     }
     for analysis in analyzed:
         rec, qt = analysis.record, analysis.question
+        # TFAnswerCode and TFAnswerText both compare against the question's prose
+        q_vec = tfidf_vector(tfidf_model, qt.prose_tokens)
         for entry, at in zip(rec.answers, analysis.answers):
             try:
                 timelag, signup_lag = time_features(rec.question, entry.post, entry.user)
@@ -372,8 +366,8 @@ def extract_matrix(
                 float(len(split_sentences(prose))),
                 vector_concordance_similarity(qt.raw_tokens, at.raw_tokens),
                 float(len(at.code_ids)),
-                tfidf_similarity(qt.prose_tokens, at.code_ids, tfidf_model),
-                tfidf_similarity(qt.prose_tokens, at.prose_tokens, tfidf_model),
+                cosine_similarity(q_vec, tfidf_vector(tfidf_model, at.code_ids)),
+                cosine_similarity(q_vec, tfidf_vector(tfidf_model, at.prose_tokens)),
                 float(signup_lag),
                 float(len(remove_stop_words(at.raw_tokens, stop_list))),
             )

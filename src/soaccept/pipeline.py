@@ -51,7 +51,6 @@ from .forest import (
 )
 from .ingest import (
     AnswerEntry,
-    DecodeError,
     IngestFilter,
     PostRow,
     QARecord,
@@ -908,8 +907,8 @@ def _candidate_ts(value, what: str) -> int | None:
     if isinstance(value, str):
         try:
             return parse_timestamp(value)
-        except DecodeError as exc:
-            raise DataError(f"{what}: {exc}") from exc
+        except ValueError:
+            raise DataError(f"{what}: not a timestamp: {value!r}") from None
     raise DataError(f"{what} must be an ISO-8601 string or epoch milliseconds")
 
 
@@ -919,10 +918,15 @@ def _candidate_record(payload: dict) -> tuple[QARecord, list]:
     Returns the record plus, per answer, the names of features that were
     not observable in the request and must be median-imputed.
     """
+    if not isinstance(payload, dict):
+        raise DataError('rank input must be a JSON object with "question" and "answers"')
     question = payload.get("question")
     answers = payload.get("answers")
     if not isinstance(question, dict) or not isinstance(question.get("body"), str):
         raise DataError('rank input needs a "question" object with a "body" string')
+    tags = question.get("tags", [])
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise DataError("question.tags must be a list of strings")
     if not isinstance(answers, list):
         raise DataError('rank input needs an "answers" list')
     if not answers:
@@ -938,7 +942,7 @@ def _candidate_record(payload: dict) -> tuple[QARecord, list]:
         view_count=view_count
         if isinstance(view_count, int) and not isinstance(view_count, bool)
         else None,
-        tags=list(question.get("tags", [])),
+        tags=list(tags),
     )
 
     entries = []

@@ -6,6 +6,10 @@ Neighbor geometry runs on standardized features; synthetics are mapped
 back to raw units before fitting.  ADASYN allocates synthetics per
 minority point in proportion to how majority-dominated its full-set
 neighborhood is; SMOTE spreads them round-robin.
+
+scipy is imported inside the functions that query neighbors, so that
+commands which import this module but never resample (`rank`) do not
+pay its start-up cost.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 _METHODS = ("none", "smote", "adasyn")
 
@@ -71,6 +74,8 @@ def _interpolate(x: np.ndarray, neighbor: np.ndarray, u: float) -> np.ndarray:
 
 
 def _minority_neighbors(z_minority: np.ndarray, k: int) -> np.ndarray:
+    from scipy.spatial import cKDTree
+
     m = z_minority.shape[0]
     if m <= k:
         raise ResampleError(
@@ -122,6 +127,8 @@ def adasyn_allocation(
     """Per-seed synthetic counts: G = (|maj|-|min|)*beta distributed as
     g_i = round(r_hat_i * G), where r_hat_i is the normalized share of
     majority points among x_i's k nearest neighbors in the full split."""
+    from scipy.spatial import cKDTree
+
     z_minority = np.asarray(z_minority, dtype=np.float64)
     z_majority = np.asarray(z_majority, dtype=np.float64)
     if z_majority.shape[0] == 0:

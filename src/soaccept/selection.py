@@ -5,6 +5,10 @@ the Ross (2014) nearest-neighbor estimator for discrete-continuous
 mutual information, reported in bits.  Features are then pruned in two
 passes: highly correlated pairs lose their lower-IG member, and whatever
 remains must clear an IG floor.
+
+scipy is imported inside `mutual_information`, its only user, so that
+commands which import this module but never select (`rank`) do not pay
+its start-up cost.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 # fixed internal seed for the tie-breaking jitter: estimates are
 # reproducible across runs and thread counts
@@ -64,6 +66,9 @@ def mutual_information(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:
     jitter breaks ties so the radii are well defined on integer-valued
     columns.  Negative estimates clamp to 0.
     """
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     x = np.asarray(x, dtype=np.float64).ravel().copy()
     y = np.asarray(y).ravel()
     n = x.shape[0]

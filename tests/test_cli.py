@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import soaccept
 from soaccept.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,20 +80,83 @@ def test_missing_input_file_exits_3(tmp_path):
     assert code == 3
 
 
-def test_rank_prints_json(cli_dir, tmp_path, capsys):
-    payload = {
+def rank_request():
+    return {
         "question": {"body": "<p>How to merge nested JSON payloads in java?</p>"},
         "answers": [
             {"body": "<p>Use <code>Jackson</code>. Remember to handle null.</p>"},
             {"body": "<p>You can merge nested JSON payloads with <code>Streams</code>.</p>"},
         ],
     }
+
+
+def write_request(tmp_path, payload) -> str:
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert run_cli("rank", *common(cli_dir), "--input", str(path), "--model", "rf") == 0
+    return str(path)
+
+
+def test_rank_prints_json(cli_dir, tmp_path, capsys):
+    path = write_request(tmp_path, rank_request())
+    assert run_cli("rank", *common(cli_dir), "--input", path, "--model", "rf") == 0
     result = json.loads(capsys.readouterr().out)
     assert {c["index"] for c in result["candidates"]} == {0, 1}
     assert result["sampler"] == "smote"
+
+
+def _edited(question=(), answer=()):
+    payload = rank_request()
+    payload["question"].update(question)
+    payload["answers"][1].update(answer)
+    return payload
+
+
+_BAD_TS = "2015-13-45T00:00:00.000"
+
+
+@pytest.mark.parametrize(
+    "payload, location",
+    [
+        (_edited(question={"creation_ts": _BAD_TS}), "question.creation_ts: not a timestamp"),
+        (_edited(answer={"creation_ts": _BAD_TS}), "answers[1].creation_ts: not a timestamp"),
+        ([1, 2], "rank input must be a JSON object"),
+        (_edited(question={"tags": 5}), "question.tags must be a list of strings"),
+        (_edited(question={"tags": "java"}), "question.tags must be a list of strings"),
+    ],
+    ids=["question-ts", "answer-ts", "top-level-array", "tags-int", "tags-string"],
+)
+def test_rank_malformed_request_exits_3(cli_dir, tmp_path, capsys, payload, location):
+    path = write_request(tmp_path, payload)
+    assert run_cli("rank", *common(cli_dir), "--input", path) == 3
+    assert f"error: {location}" in capsys.readouterr().err
+
+
+def _scipy_loaded(body: str, *argv) -> bool:
+    """Run `body` in a fresh interpreter; report whether scipy got imported."""
+    src = str(Path(soaccept.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{body}\nprint('scipy' in sys.modules)", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert not _scipy_loaded("import soaccept.cli")
+
+
+@pytest.mark.parametrize("model", ["rf", "mlp"])
+def test_rank_leaves_scipy_unloaded(cli_dir, tmp_path, model):
+    path = write_request(tmp_path, rank_request())
+    body = "from soaccept.cli import main\nassert main(sys.argv[1:]) == 0"
+    assert not _scipy_loaded(
+        body, "rank", *common(cli_dir), "--input", path, "--model", model
+    )
 
 
 def test_console_entry_point_runs(tmp_path):

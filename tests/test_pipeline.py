@@ -270,6 +270,23 @@ def test_features_analyze_each_post_once(tmp_path, monkeypatch):
     assert len(calls) == sum(1 + len(r.answers) for r in records)
 
 
+def test_features_build_each_question_vector_once(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path / "wd")
+    cmd_ingest(cfg)
+    calls = []
+    vector = features.tfidf_vector
+
+    def counting_vector(model, doc):
+        calls.append(doc)
+        return vector(model, doc)
+
+    monkeypatch.setattr(features, "tfidf_vector", counting_vector)
+    n_rows = cmd_features(cfg)["n_rows"]
+    questions = len(read_dataset(paths_for(cfg).dataset))
+    # one question vector, then one code and one prose vector per row
+    assert len(calls) == questions + 2 * n_rows
+
+
 def test_ingest_requires_paths(tmp_path):
     cfg = load_config(workdir=str(tmp_path / "wd"))
     with pytest.raises(ConfigError, match="posts"):
