@@ -58,7 +58,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="override one setting, e.g. --set forest.n_estimators=50",
     )
     p.add_argument("--seed", type=int, help="master random seed")
-    p.add_argument("--threads", type=int, help="worker threads for forest fitting")
+    p.add_argument(
+        "--threads",
+        type=int,
+        help="worker processes for forest fitting (at most the CPU count)",
+    )
     p.add_argument("--out", metavar="DIR", help="work directory (default: workdir)")
     p.add_argument("--posts", metavar="FILE", help="posts XML dump")
     p.add_argument("--users", metavar="FILE", help="users XML dump")

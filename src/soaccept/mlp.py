@@ -68,11 +68,19 @@ class MlpModel:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function that never overflows: with e = exp(-|z|), it is
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, in a single pass.
+
+    Bit-identical to evaluating 1 / (1 + exp(-z)) on z >= 0 and
+    exp(z) / (1 + exp(z)) on z < 0 separately, since -|z| is exactly -z
+    or z on those halves.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    np.divide(out, e, out=out)
     return out
 
 

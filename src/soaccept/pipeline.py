@@ -912,6 +912,16 @@ def _candidate_ts(value, what: str) -> int | None:
     raise DataError(f"{what} must be an ISO-8601 string or epoch milliseconds")
 
 
+def _candidate_int(value, what: str) -> int | None:
+    """An optional integer field: absent or null is None (imputed later);
+    any other JSON type is an error rather than a silent imputation."""
+    if value is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DataError(f"{what}: not an integer: {value!r}")
+    return value
+
+
 def _candidate_record(payload: dict) -> tuple[QARecord, list]:
     """Build a pseudo question/answer record from a rank request.
 
@@ -933,15 +943,12 @@ def _candidate_record(payload: dict) -> tuple[QARecord, list]:
         raise DataError("no candidate answers to rank")
 
     q_ts = _candidate_ts(question.get("creation_ts"), "question.creation_ts")
-    view_count = question.get("view_count")
     q_row = PostRow(
         id=0,
         post_type="question",
         creation_ts=q_ts if q_ts is not None else 0,
         body=question["body"],
-        view_count=view_count
-        if isinstance(view_count, int) and not isinstance(view_count, bool)
-        else None,
+        view_count=_candidate_int(question.get("view_count"), "question.view_count"),
         tags=list(tags),
     )
 
@@ -967,32 +974,31 @@ def _candidate_record(payload: dict) -> tuple[QARecord, list]:
             signup_ts += q_row.creation_ts - own_ts
             a_ts = q_row.creation_ts
             missing.add("Timelag")
-        score = answer.get("score")
-        if not isinstance(score, int) or isinstance(score, bool):
-            score = 0
-            missing.add("Score")
-        comment_count = answer.get("comment_count")
-        if not isinstance(comment_count, int) or isinstance(comment_count, bool):
-            comment_count = 0
-            missing.add("CommentCount")
-        reputation = answer.get("reputation")
-        if not isinstance(reputation, int) or isinstance(reputation, bool):
-            reputation = 0
-            missing.add("Reputation")
-        if q_row.view_count is None:
-            missing.add("ViewCount")
+        score = _candidate_int(answer.get("score"), f"answers[{i}].score")
+        comment_count = _candidate_int(
+            answer.get("comment_count"), f"answers[{i}].comment_count"
+        )
+        reputation = _candidate_int(answer.get("reputation"), f"answers[{i}].reputation")
+        for value, name in (
+            (score, "Score"),
+            (comment_count, "CommentCount"),
+            (reputation, "Reputation"),
+            (q_row.view_count, "ViewCount"),
+        ):
+            if value is None:
+                missing.add(name)
         entries.append(
             AnswerEntry(
                 post=PostRow(
                     id=i + 1,
                     post_type="answer",
                     creation_ts=a_ts,
-                    score=score,
+                    score=score or 0,
                     body=answer["body"],
                     parent_id=0,
-                    comment_count=comment_count,
+                    comment_count=comment_count or 0,
                 ),
-                user=UserRow(id=i + 1, reputation=reputation, creation_ts=signup_ts),
+                user=UserRow(id=i + 1, reputation=reputation or 0, creation_ts=signup_ts),
                 accepted=False,
             )
         )

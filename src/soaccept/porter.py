@@ -7,6 +7,8 @@ matches textually consumes the step whether or not its condition holds.
 Words of one or two letters are returned unchanged.
 """
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
 
 
@@ -169,6 +171,9 @@ def _step5(w: str) -> str:
     return w
 
 
+# A vocabulary repeats its words many times over; the bound keeps a
+# real dump's long tail of rare words from growing the memo without limit.
+@lru_cache(maxsize=1 << 16)
 def porter_stem(word: str) -> str:
     """Stem a non-empty lowercase ASCII-alphabetic word."""
     if len(word) <= 2:

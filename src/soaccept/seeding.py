@@ -3,7 +3,7 @@
 Every random draw in the package starts from a seed derived as
 sha256("{master}:{name}") truncated to the first 8 bytes, read
 big-endian.  Deriving rather than sharing one generator keeps results
-independent of evaluation order and thread count.
+independent of evaluation order and worker count.
 """
 
 from __future__ import annotations

@@ -131,13 +131,42 @@ def test_rank_malformed_request_exits_3(cli_dir, tmp_path, capsys, payload, loca
     assert f"error: {location}" in capsys.readouterr().err
 
 
-def _scipy_loaded(body: str, *argv) -> bool:
-    """Run `body` in a fresh interpreter; report whether scipy got imported."""
+@pytest.mark.parametrize(
+    "payload, location",
+    [
+        (_edited(answer={"score": "12"}), "answers[1].score: not an integer: '12'"),
+        (_edited(answer={"comment_count": 2.0}), "answers[1].comment_count: not an integer: 2.0"),
+        (_edited(answer={"reputation": 5400.0}), "answers[1].reputation: not an integer: 5400.0"),
+        (_edited(answer={"reputation": True}), "answers[1].reputation: not an integer: True"),
+        (_edited(question={"view_count": "1200"}), "question.view_count: not an integer: '1200'"),
+    ],
+    ids=["score-string", "comment-count-float", "reputation-float", "reputation-bool",
+         "view-count-string"],
+)
+def test_rank_mistyped_count_exits_3(cli_dir, tmp_path, capsys, payload, location):
+    path = write_request(tmp_path, payload)
+    assert run_cli("rank", *common(cli_dir), "--input", path) == 3
+    assert f"error: {location}" in capsys.readouterr().err
+
+
+def test_rank_null_count_is_imputed(cli_dir, tmp_path, capsys):
+    payload = _edited(question={"view_count": None}, answer={"score": None, "reputation": 7})
+    path = write_request(tmp_path, payload)
+    assert run_cli("rank", *common(cli_dir), "--input", path) == 0
+    candidates = json.loads(capsys.readouterr().out)["candidates"]
+    imputed = {c["index"]: c["imputed"] for c in candidates}
+    assert "Score" in imputed[1] and "ViewCount" in imputed[1]
+    assert "Reputation" not in imputed[1]
+
+
+def _loaded(module: str, body: str, *argv) -> bool:
+    """Run `body` in a fresh interpreter; report whether `module` got imported."""
     src = str(Path(soaccept.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{body}\nprint('scipy' in sys.modules)", *argv],
+        [sys.executable, "-c", f"import sys\n{body}\nprint({module!r} in sys.modules)",
+         *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -146,17 +175,37 @@ def _scipy_loaded(body: str, *argv) -> bool:
     return proc.stdout.splitlines()[-1] == "True"
 
 
+_RANK_BODY = "from soaccept.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def _rank_argv(workdir, path, model):
+    return ["rank", *common(workdir), "--input", path, "--model", model]
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    assert not _scipy_loaded("import soaccept.cli")
+    assert not _loaded("scipy", "import soaccept.cli")
 
 
 @pytest.mark.parametrize("model", ["rf", "mlp"])
 def test_rank_leaves_scipy_unloaded(cli_dir, tmp_path, model):
     path = write_request(tmp_path, rank_request())
-    body = "from soaccept.cli import main\nassert main(sys.argv[1:]) == 0"
-    assert not _scipy_loaded(
-        body, "rank", *common(cli_dir), "--input", path, "--model", model
-    )
+    assert not _loaded("scipy", _RANK_BODY, *_rank_argv(cli_dir, path, model))
+
+
+# the process pool is imported only when a forest is fitted by several workers
+_POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+@pytest.mark.parametrize("module", _POOL_MODULES)
+def test_cli_import_leaves_process_pool_unloaded(module):
+    assert not _loaded(module, "import soaccept.cli")
+
+
+@pytest.mark.parametrize("module", _POOL_MODULES)
+@pytest.mark.parametrize("model", ["rf", "mlp"])
+def test_rank_leaves_process_pool_unloaded(cli_dir, tmp_path, model, module):
+    path = write_request(tmp_path, rank_request())
+    assert not _loaded(module, _RANK_BODY, *_rank_argv(cli_dir, path, model))
 
 
 def test_console_entry_point_runs(tmp_path):

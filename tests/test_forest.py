@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from _synth import make_planted
 from soaccept.forest import (
     DecisionTree,
+    _worker_count,
     ForestError,
     ForestModel,
     RfParams,
@@ -207,9 +209,18 @@ def test_fit_is_deterministic_and_thread_invariant():
                       min_samples_leaf=1, seed=21)
     one = forest_to_dict(fit_forest(x, y, params))
     two = forest_to_dict(fit_forest(x, y, params))
-    threaded = forest_to_dict(fit_forest(x, y, params, threads=4))
     assert one == two
-    assert one == threaded
+    # 16 workers are asked for 6 trees; at most the CPU count are started
+    for threads in (2, 4, 16):
+        assert forest_to_dict(fit_forest(x, y, params, threads=threads)) == one
+
+
+def test_worker_count_is_capped_by_trees_and_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert _worker_count(1, 200) == 1
+    assert _worker_count(16, 6) == min(6, cpus)
+    assert _worker_count(10_000, 10_000) == cpus
+    assert _worker_count(16, 1) == 1
 
 
 def test_scaling_a_column_preserves_structure_and_predictions():

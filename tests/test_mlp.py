@@ -9,6 +9,7 @@ from soaccept.mlp import (
     MlpConfig,
     MlpError,
     MlpModel,
+    _sigmoid,
     bce_loss,
     fit_mlp,
     init_parameters,
@@ -54,6 +55,34 @@ def test_zero_parameters_predict_half():
     model = MlpModel(weights=weights, biases=biases, config=cfg, n_features=2)
     proba = mlp_predict_proba(model, np.array([[5.0, -3.0], [0.0, 0.0]]))
     assert np.array_equal(proba, np.array([0.5, 0.5]))
+
+
+def _masked_sigmoid(z):
+    """The two-branch formula the branch-free one must reproduce exactly."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (2000, 64), (32, 1)])
+@pytest.mark.parametrize("scale", [0.5, 5.0, 50.0])
+def test_sigmoid_is_bit_identical_to_two_branch_formula(shape, scale):
+    z = np.random.default_rng(int(scale * 10) + shape[0]).normal(scale=scale, size=shape)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_sigmoid(z).view(np.int64), _masked_sigmoid(z).view(np.int64))
+
+
+def test_sigmoid_is_bit_identical_at_edge_values():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-320, -1e-320,
+                  709.8, -745.2])
+    with np.errstate(over="ignore"):
+        got = _sigmoid(z)
+        assert np.array_equal(got.view(np.int64), _masked_sigmoid(z).view(np.int64))
+    assert got[0] == got[1] == 0.5
+    assert got[2] == 1.0 and got[3] == 0.0
 
 
 def test_bce_loss_matches_direct_formula():
