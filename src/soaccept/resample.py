@@ -7,9 +7,8 @@ back to raw units before fitting.  ADASYN allocates synthetics per
 minority point in proportion to how majority-dominated its full-set
 neighborhood is; SMOTE spreads them round-robin.
 
-scipy is imported inside the functions that query neighbors, so that
-commands which import this module but never resample (`rank`) do not
-pay its start-up cost.
+Neighbors are exact: squared Euclidean distances summed as SciPy's
+cKDTree sums them, with exact ties going to the lower row index.
 """
 
 from __future__ import annotations
@@ -20,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _METHODS = ("none", "smote", "adasyn")
+
+# entries of the query-by-data distance block screened at once
+_CHUNK_ENTRIES = 1 << 20
 
 
 class ResampleError(Exception):
@@ -73,20 +75,79 @@ def _interpolate(x: np.ndarray, neighbor: np.ndarray, u: float) -> np.ndarray:
     return x + u * (neighbor - x)
 
 
-def _minority_neighbors(z_minority: np.ndarray, k: int) -> np.ndarray:
-    from scipy.spatial import cKDTree
+def _exact_sq_dist(q_cols, qi, d_cols, di) -> np.ndarray:
+    """Squared distances of pairs (queries[qi], data[di]), given both arrays
+    column by column, summed in cKDTree's order: four interleaved
+    accumulators over the columns, added left to right, then the tail."""
+    dim = len(d_cols)
+    body = dim - dim % 4
+    acc = [np.zeros(qi.shape[0]) for _ in range(4)]
+    for j in range(body):
+        diff = q_cols[j][qi] - d_cols[j][di]
+        acc[j % 4] += diff * diff
+    total = acc[0] + acc[1] + acc[2] + acc[3]
+    for j in range(body, dim):
+        diff = q_cols[j][qi] - d_cols[j][di]
+        total += diff * diff
+    return total
 
+
+def _knn(queries: np.ndarray, data: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each query's k nearest data rows, nearest first.
+
+    Query i is data row i, which is never its own neighbor.  Order is by
+    the exact squared distance, then by row index, so exact ties go to
+    the lower index.  A query with fewer than k other rows is padded with
+    index len(data), as cKDTree marks a missing neighbor.
+
+    A BLAS screen |q|^2 + |d|^2 - 2 q.d picks, in bounded row chunks, the
+    candidates that can be among the k nearest; only those are summed
+    exactly.  Screen bound: with u = 2^-53 and S = |q|^2 + max |d|^2, the
+    two norms and the dot product each carry error <= dim*u*S (to first
+    order, in any summation order), and the two additions <= 2u*2S, so
+    the screen is within E0 = (2*dim + 4)*u*S of the real distance; the
+    exact sum, dim squares of rounded differences, is within
+    (dim + 2)*u*2S of it.  Let T be a row's k-th smallest screened value.
+    The k screened-smallest rows then have exact sums <= T + 2*E0, so the
+    k-th exact sum is too, and every row at or below it screens
+    <= T + 4*E0.  The code keeps <= T + 4*E with E = (2*dim + 8)*2^-52*S,
+    twice that bound.
+    """
+    n, dim = data.shape
+    m = queries.shape[0]
+    k_found = min(k, n - 1)
+    out = np.full((m, k), n, dtype=np.int64)
+    if k_found < 1:
+        return out
+    q_cols = np.ascontiguousarray(queries.T)
+    d_cols = np.ascontiguousarray(data.T)
+    data_sq = np.einsum("ij,ij->i", data, data)
+    query_sq = np.einsum("ij,ij->i", queries, queries)
+    margin = 4.0 * (2 * dim + 8) * np.finfo(np.float64).eps * (query_sq + data_sq.max())
+    chunk = max(1, _CHUNK_ENTRIES // n)
+    for start in range(0, m, chunk):
+        stop = min(m, start + chunk)
+        rows = np.arange(stop - start)
+        screen = query_sq[start:stop, None] + data_sq[None, :]
+        screen -= 2.0 * (queries[start:stop] @ data.T)
+        screen[rows, rows + start] = np.inf  # self
+        kth = np.partition(screen, k_found - 1, axis=1)[:, k_found - 1]
+        limit = kth + margin[start:stop]
+        row, col = np.nonzero(screen <= limit[:, None])
+        exact = _exact_sq_dist(q_cols, start + row, d_cols, col)
+        order = np.lexsort((col, exact, row))
+        first = np.searchsorted(row[order], rows)
+        out[start:stop, :k_found] = col[order][first[:, None] + np.arange(k_found)]
+    return out
+
+
+def _minority_neighbors(z_minority: np.ndarray, k: int) -> np.ndarray:
     m = z_minority.shape[0]
     if m <= k:
         raise ResampleError(
             f"minority size {m} must exceed k={k}; rerun with a smaller k"
         )
-    _, idx = cKDTree(z_minority).query(z_minority, k=k + 1)
-    neighbors = np.empty((m, k), dtype=np.int64)
-    for i in range(m):
-        row = [j for j in idx[i] if j != i]
-        neighbors[i] = row[:k]
-    return neighbors
+    return _knn(z_minority, z_minority, k)
 
 
 def _generate(z_minority, neighbors, counts, rng) -> np.ndarray:
@@ -127,8 +188,6 @@ def adasyn_allocation(
     """Per-seed synthetic counts: G = (|maj|-|min|)*beta distributed as
     g_i = round(r_hat_i * G), where r_hat_i is the normalized share of
     majority points among x_i's k nearest neighbors in the full split."""
-    from scipy.spatial import cKDTree
-
     z_minority = np.asarray(z_minority, dtype=np.float64)
     z_majority = np.asarray(z_majority, dtype=np.float64)
     if z_majority.shape[0] == 0:
@@ -139,11 +198,7 @@ def adasyn_allocation(
         return np.zeros(m, dtype=np.int64)
 
     full = np.vstack([z_minority, z_majority])  # minority indices 0..m-1
-    _, idx = cKDTree(full).query(z_minority, k=k + 1)
-    delta = np.empty(m, dtype=np.float64)
-    for i in range(m):
-        near = [j for j in idx[i] if j != i][:k]
-        delta[i] = sum(1 for j in near if j >= m)
+    delta = (_knn(z_minority, full, k) >= m).sum(axis=1)
     r = delta / k
     total = r.sum()
     r_hat = np.full(m, 1.0 / m) if total == 0.0 else r / total

@@ -175,7 +175,7 @@ def _loaded(module: str, body: str, *argv) -> bool:
     return proc.stdout.splitlines()[-1] == "True"
 
 
-_RANK_BODY = "from soaccept.cli import main\nassert main(sys.argv[1:]) == 0"
+_MAIN_BODY = "from soaccept.cli import main\nassert main(sys.argv[1:]) == 0"
 
 
 def _rank_argv(workdir, path, model):
@@ -189,7 +189,14 @@ def test_cli_import_leaves_scipy_unloaded():
 @pytest.mark.parametrize("model", ["rf", "mlp"])
 def test_rank_leaves_scipy_unloaded(cli_dir, tmp_path, model):
     path = write_request(tmp_path, rank_request())
-    assert not _loaded("scipy", _RANK_BODY, *_rank_argv(cli_dir, path, model))
+    assert not _loaded("scipy", _MAIN_BODY, *_rank_argv(cli_dir, path, model))
+
+
+@pytest.mark.parametrize("settings", [(), ("--set", "resample.method=adasyn")],
+                         ids=["smote", "adasyn"])
+def test_run_leaves_scipy_unloaded(tmp_path, settings):
+    argv = ["run", *common(tmp_path / "wd"), *settings]
+    assert not _loaded("scipy", _MAIN_BODY, *argv)
 
 
 # the process pool is imported only when a forest is fitted by several workers
@@ -205,7 +212,7 @@ def test_cli_import_leaves_process_pool_unloaded(module):
 @pytest.mark.parametrize("model", ["rf", "mlp"])
 def test_rank_leaves_process_pool_unloaded(cli_dir, tmp_path, model, module):
     path = write_request(tmp_path, rank_request())
-    assert not _loaded(module, _RANK_BODY, *_rank_argv(cli_dir, path, model))
+    assert not _loaded(module, _MAIN_BODY, *_rank_argv(cli_dir, path, model))
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -5,6 +5,7 @@ from soaccept.resample import (
     ResampleError,
     ResamplePlan,
     _interpolate,
+    _knn,
     adasyn,
     apply_plan,
     minority_label,
@@ -203,3 +204,102 @@ def test_plan_validation():
         ResamplePlan(target_ratio=0.0)
     with pytest.raises(ValueError):
         ResamplePlan(beta=1.5)
+
+
+def _brute_knn(queries, data, k):
+    """Unscreened reference: every squared distance summed in cKDTree's
+    order (four interleaved accumulators, then the tail), one row at a time,
+    ranked by (distance, row index) with the query's own row left out."""
+    n, dim = data.shape
+    out = np.full((queries.shape[0], k), n, dtype=np.int64)
+    body = dim - dim % 4
+    for i, q in enumerate(queries):
+        dist = []
+        for j, d in enumerate(data):
+            acc = [0.0, 0.0, 0.0, 0.0]
+            for c in range(body):
+                diff = q[c] - d[c]
+                acc[c % 4] += diff * diff
+            total = acc[0] + acc[1] + acc[2] + acc[3]
+            for c in range(body, dim):
+                diff = q[c] - d[c]
+                total += diff * diff
+            if j != i:
+                dist.append((total, j))
+        near = [j for _, j in sorted(dist)[:k]]
+        out[i, : len(near)] = near
+    return out
+
+
+def _adversarial(name):
+    rng = np.random.default_rng(31)
+    lattice = np.array(
+        [[a, b, c] for a in range(3) for b in range(3) for c in range(3)], dtype=float
+    )
+    if name == "duplicates":
+        base = rng.normal(size=(12, 3))
+        return np.vstack([base, base, base[:5]])
+    if name == "lattice":
+        return lattice
+    if name == "offset":
+        return 1e6 + rng.normal(size=(30, 5))
+    if name == "offset-lattice":
+        return 1e6 + lattice
+    if name == "constant-column":
+        data = rng.normal(size=(25, 6))
+        data[:, 2] = 0.0
+        return data
+    if name == "all-equal":
+        return np.full((9, 4), 3.25)
+    return np.round(rng.normal(size=(40, 17)), 1)  # "rounded-wide"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["duplicates", "lattice", "offset", "offset-lattice", "constant-column",
+     "all-equal", "rounded-wide"],
+)
+def test_knn_screen_equals_brute_force(name):
+    data = _adversarial(name)
+    m = data.shape[0]
+    for k in (1, 3, m - 1):
+        assert np.array_equal(_knn(data, data, k), _brute_knn(data, data, k)), k
+        half = data[: m // 2]  # ADASYN shape: a prefix against the full set
+        assert np.array_equal(_knn(half, data, k), _brute_knn(half, data, k)), k
+
+
+def test_knn_pads_missing_neighbors_with_data_size():
+    data = np.array([[0.0], [1.0], [3.0]])
+    assert _knn(data, data, 4).tolist() == [[1, 2, 3, 3], [0, 2, 3, 3], [1, 0, 3, 3]]
+
+
+def test_knn_duplicates_come_back_lowest_index_first():
+    point = np.array([[0.5, -1.0]])
+    data = np.vstack([point, [[9.0, 9.0]], point, point, [[0.5, -0.9]], point])
+    assert _knn(data, data, 3)[0].tolist() == [2, 3, 5]
+    assert _knn(data, data, 4)[0].tolist() == [2, 3, 5, 4]
+    assert _knn(data, data, 3)[5].tolist() == [0, 2, 3]
+
+
+def _ckdtree_neighbors(queries, data, k):
+    spatial = pytest.importorskip("scipy.spatial")
+    _, idx = spatial.cKDTree(data).query(queries, k=k + 1)
+    return np.array([[j for j in row if j != i][:k] for i, row in enumerate(idx)])
+
+
+@pytest.mark.parametrize("dim", [1, 4, 6, 16])
+def test_knn_equals_ckdtree_on_tie_free_data(dim):
+    rng = np.random.default_rng(dim)
+    z_min = rng.normal(size=(300, dim))
+    z_maj = rng.normal(0.5, 1.5, size=(700, dim))
+    full = np.vstack([z_min, z_maj])
+    for k in (1, 5):
+        # SMOTE: the minority against itself
+        assert np.array_equal(_knn(z_min, z_min, k), _ckdtree_neighbors(z_min, z_min, k))
+        # ADASYN: the minority against the whole split, minority rows first
+        assert np.array_equal(_knn(z_min, full, k), _ckdtree_neighbors(z_min, full, k))
+
+
+def test_knn_padding_equals_ckdtree():
+    data = np.random.default_rng(3).normal(size=(4, 2))
+    assert np.array_equal(_knn(data, data, 6), _ckdtree_neighbors(data, data, 6))

@@ -6,7 +6,11 @@ import pytest
 
 from soaccept.features import FEATURE_NAMES
 from soaccept.selection import (
+    _JITTER_SEED,
     CorrelationMatrix,
+    _count_within,
+    _kth_gap,
+    _psi,
     mutual_information,
     pearson_matrix,
     select_features,
@@ -101,6 +105,125 @@ def test_mi_deterministic_across_calls():
     x = RNG.normal(size=n)
     y = RNG.integers(0, 2, size=n)
     assert mutual_information(x, y) == mutual_information(x.copy(), y.copy())
+
+
+def _jittered(x):
+    """The column as mutual_information perturbs it."""
+    rng = np.random.default_rng(_JITTER_SEED)
+    scale = max(1.0, float(np.mean(np.abs(x))))
+    return x + 1e-10 * scale * rng.standard_normal(x.shape[0])
+
+
+def _columns(seed, count=30):
+    """Seeded integer-valued, continuous and rounded columns."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(20, 1500))
+        kind = i % 3
+        if kind == 0:
+            x = rng.integers(0, int(rng.integers(2, 60)), n).astype(float)
+        elif kind == 1:
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 5)
+        else:
+            x = np.round(rng.lognormal(size=n) * 100.0, int(rng.integers(0, 3)))
+        yield x
+
+
+def test_kth_gap_and_count_within_match_brute_force():
+    for x in map(_jittered, _columns(21)):
+        for k in (1, 3, 5):
+            gaps = np.abs(x[None, :] - x[:, None])
+            expected = np.sort(gaps, axis=1)[:, k]  # column 0 is the point itself
+            assert np.array_equal(_kth_gap(x, k), expected)
+            radius = np.nextafter(expected, 0)
+            within = (gaps <= radius[:, None]).sum(axis=1)
+            assert np.array_equal(_count_within(x, radius), within)
+
+
+def test_count_within_on_exact_duplicates_and_zero_radius():
+    x = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 5.0, 1.0 + 2.0**-52])
+    radius = np.array([0.0, 2.0**-52, 1.0, 0.0, 3.0, 2.9999999999999996, 0.0])
+    within = (np.abs(x[None, :] - x[:, None]) <= radius[:, None]).sum(axis=1)
+    assert within.tolist() == [3, 4, 6, 2, 7, 1, 1]
+    assert np.array_equal(_count_within(x, radius), within)
+
+
+def _old_mutual_information(x, y, k=3):
+    """The cKDTree + scipy.special estimator that _psi and the sorted
+    searches replaced, kept as the bit-for-bit reference."""
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
+    x = _jittered(np.asarray(x, dtype=np.float64).ravel())
+    y = np.asarray(y).ravel()
+    n = x.shape[0]
+    classes, counts = np.unique(y, return_counts=True)
+    radius = np.empty(n)
+    k_point = np.empty(n)
+    label_count = np.empty(n)
+    usable = np.zeros(n, dtype=bool)
+    points = x.reshape(-1, 1)
+    for cls, count in zip(classes, counts):
+        mask = y == cls
+        label_count[mask] = count
+        if count <= 1:
+            continue
+        k_eff = min(k, count - 1)
+        sub = points[mask]
+        dist, _ = cKDTree(sub).query(sub, k=k_eff + 1)
+        radius[mask] = np.nextafter(dist[:, -1], 0)
+        k_point[mask] = k_eff
+        usable[mask] = True
+    points = points[usable]
+    tree = cKDTree(points)
+    within = np.array(
+        [len(hits) for hits in tree.query_ball_point(points, radius[usable])],
+        dtype=np.float64,
+    )
+    nats = (
+        digamma(points.shape[0])
+        + float(np.mean(digamma(k_point[usable])))
+        - float(np.mean(digamma(label_count[usable])))
+        - float(np.mean(digamma(within)))
+    )
+    return max(0.0, nats / math.log(2))
+
+
+def test_psi_is_bit_identical_to_scipy_digamma():
+    special = pytest.importorskip("scipy.special")
+    n = np.arange(1, 200_001)
+    ours = np.array([_psi(int(v)) for v in n])
+    assert np.array_equal(
+        ours.view(np.int64), special.digamma(n.astype(np.float64)).view(np.int64)
+    )
+
+
+def test_radii_and_counts_equal_ckdtree():
+    spatial = pytest.importorskip("scipy.spatial")
+    for x in map(_jittered, _columns(22)):
+        points = x.reshape(-1, 1)
+        tree = spatial.cKDTree(points)
+        for k in (1, 3):
+            dist, _ = tree.query(points, k=k + 1)
+            assert np.array_equal(_kth_gap(x, k), dist[:, -1])
+            radius = np.nextafter(dist[:, -1], 0)
+            hits = tree.query_ball_point(points, radius)
+            assert np.array_equal(_count_within(x, radius), [len(h) for h in hits])
+
+
+def test_mutual_information_is_bit_identical_to_scipy_version():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(23)
+    for i, x in enumerate(_columns(24, count=24)):
+        y = (rng.random(x.shape[0]) < rng.uniform(0.05, 0.95)).astype(int)
+        y[:2] = [0, 1]
+        if i == 0:
+            y[:] = 0
+            y[7] = 1  # a one-point class is left out of the estimate
+        k = (1, 3, 5)[i % 3]
+        ours = np.float64(mutual_information(x, y, k=k))
+        theirs = np.float64(_old_mutual_information(x, y, k=k))
+        assert ours.view(np.int64) == theirs.view(np.int64)
 
 
 def _published_stats():
