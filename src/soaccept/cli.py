@@ -61,7 +61,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        help="worker processes for forest fitting (at most the CPU count)",
+        help="worker processes for the train stage, which fits the network beside"
+        " the forest's trees (at most the CPU count)",
     )
     p.add_argument("--out", metavar="DIR", help="work directory (default: workdir)")
     p.add_argument("--posts", metavar="FILE", help="posts XML dump")

@@ -7,16 +7,17 @@ the lowest feature index, then the lowest threshold, so refitting is
 reproducible bit for bit.  Rows with value <= threshold go left.
 
 Every tree draws from its own seeded generator, so the ensemble does not
-depend on how trees are spread over worker processes.  Workers are
-forked: tree growth is pure Python and holds the interpreter lock, so
-threads would contend for it instead of running in parallel.
+depend on how its tree indices are split into blocks.  `fit_trees` fits
+one block; `fit_forest` joins the blocks into the model (out-of-bag
+error, importances).  The train stage runs the blocks beside the network
+in its forked workers (see `pipeline._fit_models`); this module starts no
+process.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,50 +255,21 @@ def _fit_one(x, y, params, tree_index):
     return tree, in_bag
 
 
-def _fit_block(x, y, params, tree_indices):
+def fit_trees(x, y, params: RfParams, tree_indices) -> list:
+    """(tree, in-bag mask) for each index in `tree_indices`, in order."""
     return [_fit_one(x, y, params, i) for i in tree_indices]
 
 
-def _worker_count(threads: int, n_trees: int) -> int:
-    """Processes to fit in: `threads`, capped by the tree count and the
-    CPUs this process may run on; 1 where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(threads, n_trees, cpus)
-
-
-def _fit_in_processes(x, y, params, workers: int) -> list:
-    """Fit contiguous blocks of tree indices in forked workers, joined in
-    index order.
-
-    Fork starts workers without re-importing anything, which spawn would
-    pay for on every run; it needs a caller with no other threads running,
-    as the command line is.  The pool modules are imported here so that
-    loading the package, and so every `rank` call, does not pay for them.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    blocks = np.array_split(np.arange(params.n_estimators), workers)
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(_fit_block, x, y, params, b.tolist()) for b in blocks]
-        return [fitted for future in futures for fitted in future.result()]
-
-
-def fit_forest(x, y, params: RfParams, threads: int = 1) -> ForestModel:
+def fit_forest(x, y, params: RfParams, fitted=None) -> ForestModel:
     """Fit `params.n_estimators` trees on bootstrap samples.
 
     Each tree draws from its own generator seeded by
-    derive_seed(params.seed, "tree:<index>"), so the result is identical
-    for any `threads`, the number of worker processes (at most the CPU
-    count; 1 fits in this process).  OOB error is the misclassification
-    rate over rows voted on only by trees whose bootstrap missed them;
-    rows in every bag are excluded.
+    derive_seed(params.seed, "tree:<index>"), so the result does not
+    depend on where its trees were grown.  `fitted`, when given, yields
+    the `fit_trees` pairs of tree indices 0, 1, ... in order, grown
+    elsewhere; by default every tree is grown here.  OOB error is the
+    misclassification rate over rows voted on only by trees whose
+    bootstrap missed them; rows in every bag are excluded.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -309,17 +281,14 @@ def fit_forest(x, y, params: RfParams, threads: int = 1) -> ForestModel:
     if not np.isin(classes, (0, 1)).all():
         raise ForestError("labels must be 0/1")
     n, d = x.shape
+    if fitted is None:
+        fitted = fit_trees(x, y, params, range(params.n_estimators))
 
-    workers = _worker_count(threads, params.n_estimators)
-    if workers > 1:
-        fitted = _fit_in_processes(x, y, params, workers)
-    else:
-        fitted = _fit_block(x, y, params, range(params.n_estimators))
-
-    trees = [t for t, _ in fitted]
+    trees = []
     oob_sum = np.zeros(n)
     oob_votes = np.zeros(n, dtype=np.int64)
     for tree, in_bag in fitted:
+        trees.append(tree)
         out = ~in_bag
         if out.any():
             oob_sum[out] += tree_predict_proba1(tree, x[out])

@@ -35,6 +35,10 @@ class DivergenceError(MlpError):
             "lower the learning rate"
         )
 
+    def __reduce__(self):
+        # rebuilt from the epoch alone, so it survives a worker's pickle
+        return type(self), (self.epoch,)
+
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -140,7 +144,11 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
     """Train with mini-batch SGD under a seeded per-epoch shuffle.
 
     The full-data loss is recorded after every epoch; a non-finite value
-    aborts with DivergenceError naming the epoch (1-based).
+    aborts with DivergenceError naming the epoch (1-based).  Its forward
+    pass runs over row blocks of `batch_size`, so every matrix product of
+    a fit has a training batch's shape.  A full-data product is large
+    enough for OpenBLAS to wake its threads, which then spin between
+    epochs and take a second core for no gain.
     """
     if config is None:
         config = MlpConfig()
@@ -168,7 +176,10 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
                 for layer in range(len(weights)):
                     weights[layer] -= config.learning_rate * gw[layer]
                     biases[layer] -= config.learning_rate * gb[layer]
-            _, z_out = _forward(weights, biases, x)
+            z_out = np.concatenate([
+                _forward(weights, biases, x[start : start + config.batch_size])[1]
+                for start in range(0, n, config.batch_size)
+            ])
             epoch_loss = bce_loss(z_out, y)
             if not np.isfinite(epoch_loss):
                 raise DivergenceError(epoch)

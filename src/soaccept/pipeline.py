@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from .features import (
 from .forest import (
     RfParams,
     fit_forest,
+    fit_trees,
     forest_predict_proba,
     load_forest,
     save_forest,
@@ -655,11 +657,16 @@ def cmd_features(cfg: RunConfig) -> dict:
     return stats
 
 
-def cmd_select(cfg: RunConfig) -> dict:
-    """features.csv -> selection.json (correlation + info-gain pruning)."""
+def cmd_select(cfg: RunConfig, matrix=None) -> dict:
+    """features.csv -> selection.json (correlation + info-gain pruning).
+
+    `matrix` is features.csv already parsed (by `cmd_run`); without it
+    the file is read here.
+    """
     ensure_fresh(cfg, "select")
     p = paths_for(cfg)
-    matrix = read_features_csv(p.features_csv)
+    if matrix is None:
+        matrix = read_features_csv(p.features_csv)
     try:
         result, corr, ig = select_features(
             matrix.x,
@@ -694,11 +701,64 @@ def _retained_columns(matrix, selection: dict):
     return retained, cols
 
 
-def cmd_train(cfg: RunConfig) -> dict:
-    """features.csv + selection.json -> fitted models under models/<sampler>/."""
+def _worker_count(threads: int, tasks: int) -> int:
+    """Processes to fit in: `threads`, capped by the task count and the
+    CPUs this process may run on; 1 where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(threads, tasks, cpus)
+
+
+def _fit_network(z, y, config: MlpConfig):
+    # submitted by reference, so the pool never pickles whatever object
+    # `fit_mlp` is bound to in this module; the worker looks it up
+    return fit_mlp(z, y, config)
+
+
+def _fit_models(x, z, y, params: RfParams, config: MlpConfig, threads: int):
+    """The forest on `x` and the network on its standardized copy `z`.
+
+    With more than one worker the fits share one pool of forked
+    processes: the network goes in first, as one task, and contiguous
+    blocks of tree indices follow as the others.  The trees are joined
+    in index order as their blocks finish.  Fork starts workers without
+    re-importing anything, which spawn would pay for on every run; it
+    needs a caller with no other threads running, as the command line
+    is.  The pool modules are imported here so that loading the package,
+    and so every `rank` call, does not pay for them.
+    """
+    workers = _worker_count(threads, 1 + params.n_estimators)
+    if workers == 1:
+        return fit_forest(x, y, params), fit_mlp(z, y, config)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        network = pool.submit(_fit_network, z, y, config)
+        blocks = [
+            pool.submit(fit_trees, x, y, params, block.tolist())
+            for block in np.array_split(np.arange(params.n_estimators), workers)
+        ]
+        fitted = (pair for block in blocks for pair in block.result())
+        return fit_forest(x, y, params, fitted), network.result()
+
+
+def cmd_train(cfg: RunConfig, matrix=None) -> dict:
+    """features.csv + selection.json -> fitted models under models/<sampler>/.
+
+    `threads` worker processes fit the forest's trees and the network
+    side by side (`_fit_models`); `matrix` is features.csv already
+    parsed, as for `cmd_select`.
+    """
     ensure_fresh(cfg, "train")
     p = paths_for(cfg)
-    matrix = read_features_csv(p.features_csv)
+    if matrix is None:
+        matrix = read_features_csv(p.features_csv)
     selection = _read_json(p.selection)
     retained, cols = _retained_columns(matrix, selection)
     x = matrix.x[:, cols]
@@ -721,10 +781,9 @@ def cmd_train(cfg: RunConfig) -> dict:
         params = cfg.rf_params()
 
     x_res, y_res = apply_plan(x_train, y_train, plan)
-    forest = fit_forest(x_res, y_res, params, threads=cfg.threads)
-    forest.feature_names = tuple(retained)
     z_res, scaler = standardize(x_res)
-    mlp = fit_mlp(z_res, y_res, cfg.mlp_config())
+    forest, mlp = _fit_models(x_res, z_res, y_res, params, cfg.mlp_config(), cfg.threads)
+    forest.feature_names = tuple(retained)
 
     # medians of the raw training split, for imputing unobserved features
     # at ranking time; computed over all columns, not just the retained ones
@@ -811,11 +870,15 @@ def _load_scaler(path: Path) -> Scaler:
     )
 
 
-def cmd_evaluate(cfg: RunConfig) -> EvalReport:
-    """Held-out metrics + importance rankings -> report/<sampler>/."""
+def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
+    """Held-out metrics + importance rankings -> report/<sampler>/.
+
+    `matrix` is features.csv already parsed, as for `cmd_select`.
+    """
     ensure_fresh(cfg, "evaluate")
     p = paths_for(cfg)
-    matrix = read_features_csv(p.features_csv)
+    if matrix is None:
+        matrix = read_features_csv(p.features_csv)
     selection = _read_json(p.selection)
     retained, cols = _retained_columns(matrix, selection)
     x = matrix.x[:, cols]
@@ -877,13 +940,18 @@ def cmd_evaluate(cfg: RunConfig) -> EvalReport:
 
 
 def cmd_run(cfg: RunConfig) -> dict:
-    """All five stages in order against one work directory."""
+    """All five stages in order against one work directory.
+
+    features.csv is parsed once, after the stage that writes it, and the
+    matrix is handed to the three stages that read it.
+    """
     ingest_report = cmd_ingest(cfg)
     feature_stats = cmd_features(cfg)
-    selection = cmd_select(cfg)
-    train_summary = cmd_train(cfg)
-    cmd_evaluate(cfg)
     p = paths_for(cfg)
+    matrix = read_features_csv(p.features_csv)
+    selection = cmd_select(cfg, matrix)
+    train_summary = cmd_train(cfg, matrix)
+    cmd_evaluate(cfg, matrix)
     return {
         "questions": ingest_report["questions_retained"],
         "answers": ingest_report["answers_retained"],

@@ -49,6 +49,20 @@ def test_removed_require_accepted_key_exits_2(tmp_path, capsys):
     assert "unknown configuration key: filter.require_accepted" in capsys.readouterr().err
 
 
+def test_diverging_run_exits_3_alike_in_and_out_of_process(tmp_path, capsys):
+    errors = []
+    for threads in (1, 2):
+        code = run_cli("run", *common(tmp_path / str(threads)), "--threads", str(threads),
+                       "--set", "mlp.learning_rate=1e307", "--set", "forest.n_estimators=4")
+        assert code == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0] == (
+        "error: training diverged at epoch 1: loss is no longer finite; "
+        "lower the learning rate\n"
+    )
+
+
 def test_data_error_exits_3(tmp_path):
     bad = tmp_path / "Posts.xml"
     bad.write_text("<posts><row Id='1'", encoding="utf-8")

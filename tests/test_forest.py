@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -9,12 +8,12 @@ from hypothesis import strategies as st
 from _synth import make_planted
 from soaccept.forest import (
     DecisionTree,
-    _worker_count,
     ForestError,
     ForestModel,
     RfParams,
     fit_forest,
     fit_tree,
+    fit_trees,
     forest_from_dict,
     forest_predict,
     forest_predict_proba,
@@ -210,17 +209,11 @@ def test_fit_is_deterministic_and_thread_invariant():
     one = forest_to_dict(fit_forest(x, y, params))
     two = forest_to_dict(fit_forest(x, y, params))
     assert one == two
-    # 16 workers are asked for 6 trees; at most the CPU count are started
-    for threads in (2, 4, 16):
-        assert forest_to_dict(fit_forest(x, y, params, threads=threads)) == one
-
-
-def test_worker_count_is_capped_by_trees_and_cpus():
-    cpus = len(os.sched_getaffinity(0))
-    assert _worker_count(1, 200) == 1
-    assert _worker_count(16, 6) == min(6, cpus)
-    assert _worker_count(10_000, 10_000) == cpus
-    assert _worker_count(16, 1) == 1
+    # the train workers grow blocks of tree indices; any split joined in
+    # index order gives the same forest (test_pipeline checks the pool)
+    for blocks in ([range(6)], [range(3), range(3, 6)], [[0], [], range(1, 5), [5]]):
+        fitted = [pair for block in blocks for pair in fit_trees(x, y, params, block)]
+        assert forest_to_dict(fit_forest(x, y, params, fitted)) == one
 
 
 def test_scaling_a_column_preserves_structure_and_predictions():

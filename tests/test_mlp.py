@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from soaccept.mlp import (
     MlpConfig,
     MlpError,
     MlpModel,
+    _forward,
     _sigmoid,
     bce_loss,
     fit_mlp,
@@ -21,6 +23,7 @@ from soaccept.mlp import (
     mlp_to_dict,
     save_mlp,
 )
+from soaccept.seeding import derive_seed
 
 SMALL = MlpConfig(hidden=(8, 6, 5, 4, 3), learning_rate=0.5, batch_size=16,
                   epochs=200, seed=0)
@@ -144,6 +147,44 @@ def test_divergence_error_names_epoch():
     except DivergenceError as err:
         assert err.epoch >= 1
         assert f"epoch {err.epoch}" in str(err)
+
+
+def test_divergence_error_survives_pickle():
+    err = pickle.loads(pickle.dumps(DivergenceError(3)))
+    assert type(err) is DivergenceError
+    assert err.epoch == 3
+    assert str(err) == str(DivergenceError(3))
+
+
+def _fit_with_full_matrix_epoch_loss(x, y, config):
+    """fit_mlp as it was before the epoch loss went blockwise: one
+    forward pass over the whole matrix after every epoch."""
+    weights, biases = init_parameters(x.shape[1], config)
+    rng = np.random.default_rng(derive_seed(config.seed, "sgd"))
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], config.batch_size):
+            batch = order[start : start + config.batch_size]
+            _, gw, gb = loss_and_gradients(weights, biases, x[batch], y[batch])
+            for layer in range(len(weights)):
+                weights[layer] -= config.learning_rate * gw[layer]
+                biases[layer] -= config.learning_rate * gb[layer]
+        history.append(bce_loss(_forward(weights, biases, x)[1], y))
+    return weights, biases, history
+
+
+@pytest.mark.parametrize("n, batch_size", [(1942, 32), (100, 7), (40, 64)])
+def test_blockwise_epoch_loss_matches_full_matrix_reference(n, batch_size):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 3))
+    y = (x[:, 0] + 0.5 * rng.standard_normal(n) > 0.6).astype(np.int64)
+    cfg = MlpConfig(learning_rate=0.05, batch_size=batch_size, epochs=4, seed=n)
+    weights, biases, history = _fit_with_full_matrix_epoch_loss(x, y, cfg)
+    model = fit_mlp(x, y, cfg)
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_allclose(model.loss_history, history, rtol=1e-14, atol=0.0)
 
 
 def test_training_is_deterministic():

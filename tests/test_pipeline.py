@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -198,12 +199,56 @@ def test_rerunning_one_stage_is_byte_stable(run_dir, tmp_path):
     assert (wd / "manifest.json").read_bytes() == (run_dir / "manifest.json").read_bytes()
 
 
+def _files(root: Path) -> dict:
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+            if f.is_file()}
+
+
 def test_thread_count_does_not_change_models(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
-    cmd_train(make_config(wd, threads=4))
-    assert (wd / "models/smote/model.rf.json").read_bytes() == (
-        run_dir / "models/smote/model.rf.json"
-    ).read_bytes()
+    for method in ("smote", "adasyn"):
+        written = []
+        # 16 workers are asked for; at most the CPU count are started
+        for threads in (1, 2, 16):
+            cmd_train(make_config(wd, threads=threads, **{"resample.method": method}))
+            written.append(_files(wd / "models" / method))
+        assert len(written[0]) == 5
+        assert written[0] == written[1] == written[2], method
+    assert _files(wd / "models/smote") == _files(run_dir / "models/smote")
+
+
+def test_worker_count_is_capped_by_tasks_and_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert pipeline._worker_count(1, 201) == 1
+    assert pipeline._worker_count(16, 7) == min(7, cpus)
+    assert pipeline._worker_count(10_000, 10_001) == cpus
+    assert pipeline._worker_count(16, 1) == 1
+
+
+def test_train_pool_runs_with_fit_mlp_rebound(run_dir, tmp_path, monkeypatch):
+    # a wrapper bound over `pipeline.fit_mlp`, as a tracer installs one,
+    # cannot be pickled; the pool must still fit the network
+    wd = copy_workdir(run_dir, tmp_path)
+    original = pipeline.fit_mlp
+    monkeypatch.setattr(pipeline, "fit_mlp", lambda *a, **k: original(*a, **k))
+    cmd_train(make_config(wd, threads=2))
+    assert _files(wd / "models/smote") == _files(run_dir / "models/smote")
+
+
+def test_run_parses_features_csv_once(tmp_path, monkeypatch):
+    calls = []
+    original = pipeline.read_features_csv
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(pipeline, "read_features_csv", counting)
+    cfg = make_config(tmp_path / "wd", **{"forest.n_estimators": 4, "mlp.epochs": 2})
+    cmd_run(cfg)
+    assert len(calls) == 1
+    cmd_evaluate(cfg)  # a stage run on its own reads the file itself
+    assert len(calls) == 2
 
 
 def test_train_without_features_names_the_missing_stage(tmp_path):
