@@ -144,11 +144,11 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
     """Train with mini-batch SGD under a seeded per-epoch shuffle.
 
     The full-data loss is recorded after every epoch; a non-finite value
-    aborts with DivergenceError naming the epoch (1-based).  Its forward
-    pass runs over row blocks of `batch_size`, so every matrix product of
-    a fit has a training batch's shape.  A full-data product is large
-    enough for OpenBLAS to wake its threads, which then spin between
-    epochs and take a second core for no gain.
+    aborts with DivergenceError naming the epoch (1-based).  That loss is
+    computed over row blocks of `batch_size`, so every matrix product of
+    a fit has a training batch's shape: a product over all rows is large
+    enough for OpenBLAS to start its threads, which then spin between
+    epochs on a second core for no gain.
     """
     if config is None:
         config = MlpConfig()
