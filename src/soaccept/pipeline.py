@@ -27,7 +27,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -136,20 +136,52 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge_config(base: dict, override: dict, prefix: str = "") -> dict:
-    """Overlay `override` onto a deep copy of `base`, rejecting unknown keys."""
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        path = f"{prefix}{key}"
-        if key not in base:
-            raise ConfigError(f"unknown configuration key: {path}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path} must be an object")
-            merged[key] = _merge_config(base[key], value, prefix=f"{path}.")
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the type rule: what a setting accepts, by the type of its default
+_TYPE_RULE = {
+    type(None): (lambda v: v is None or isinstance(v, str), "a path string or null"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+# the one union, a name or a count; RfParams checks which names and counts
+_NAME_OR_INT = (lambda v: _is_int(v) or isinstance(v, str), "a name or an integer")
+_NAME_OR_INT_KEYS = ("forest.max_features", "search.max_features")
+
+
+def _checked(default, value, path: str = ""):
+    """`value` merged onto `default` and checked against its type.
+
+    An object merges key by key, unknown keys rejected; a list takes a
+    non-empty list whose items have the type of its first default item;
+    a float setting stores an int as a float.  Errors name the dotted key.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'configuration'} must be a JSON object")
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"unknown configuration key: {prefix}{key}")
+        return {
+            key: _checked(sub, value.get(key, sub), prefix + key)
+            for key, sub in default.items()
+        }
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a non-empty list")
+        return [_checked(default[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if path.partition("[")[0] in _NAME_OR_INT_KEYS:
+        accepts, wanted = _NAME_OR_INT
+    else:
+        accepts, wanted = _TYPE_RULE[type(default)]
+    if not accepts(value):
+        raise ConfigError(f"{path} must be {wanted}, got {json.dumps(value)}")
+    return float(value) if isinstance(default, float) else value
 
 
 def _parse_set_value(text: str):
@@ -187,100 +219,23 @@ def apply_set_overrides(data: dict, assignments) -> dict:
     return out
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer")
-    return value
-
-
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number")
-    return float(value)
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path} must be true or false")
-    return value
-
-
-def _as_str_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path} must be a non-empty list of strings")
-    for item in value:
-        if not isinstance(item, str):
-            raise ConfigError(f"{path} must be a non-empty list of strings")
-    return list(value)
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated pipeline settings; seeds for each stage derive from `seed`."""
+    """Checked pipeline settings: `DEFAULT_CONFIG`'s tree with the
+    overrides merged in.  Seeds for each stage derive from `seed`."""
 
-    posts: str | None
-    users: str | None
-    workdir: str
-    seed: int
-    threads: int
-    tags: tuple
-    years: tuple
-    r_threshold: float
-    ig_threshold: float
-    mi_k: int
-    train_fraction: float
-    resample_method: str
-    resample_k: int
-    target_ratio: float
-    beta: float
-    forest: dict = field(compare=False)
-    mlp: dict = field(compare=False)
-    search: dict = field(compare=False)
-    importance_rounds: int = 5
+    settings: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("configuration must be a JSON object")
-        d = _merge_config(DEFAULT_CONFIG, data)
-        for key in ("posts", "users"):
-            if d[key] is not None and not isinstance(d[key], str):
-                raise ConfigError(f"{key} must be a file path string")
-        if not isinstance(d["workdir"], str) or not d["workdir"]:
+        cfg = cls(_checked(DEFAULT_CONFIG, data))
+        if not cfg.workdir:
             raise ConfigError("workdir must be a non-empty path string")
-        years = d["filter"]["years"]
-        if not isinstance(years, list) or len(years) != 2:
-            raise ConfigError("filter.years must be [first, last]")
-        cfg = cls(
-            posts=d["posts"],
-            users=d["users"],
-            workdir=d["workdir"],
-            seed=_as_int(d["seed"], "seed"),
-            threads=_as_int(d["threads"], "threads"),
-            tags=tuple(_as_str_list(d["filter"]["tags"], "filter.tags")),
-            years=(_as_int(years[0], "filter.years"), _as_int(years[1], "filter.years")),
-            r_threshold=_as_float(d["selection"]["r_threshold"], "selection.r_threshold"),
-            ig_threshold=_as_float(
-                d["selection"]["ig_threshold"], "selection.ig_threshold"
-            ),
-            mi_k=_as_int(d["selection"]["mi_k"], "selection.mi_k"),
-            train_fraction=_as_float(
-                d["split"]["train_fraction"], "split.train_fraction"
-            ),
-            resample_method=d["resample"]["method"],
-            resample_k=_as_int(d["resample"]["k"], "resample.k"),
-            target_ratio=_as_float(d["resample"]["target_ratio"], "resample.target_ratio"),
-            beta=_as_float(d["resample"]["beta"], "resample.beta"),
-            forest=copy.deepcopy(d["forest"]),
-            mlp=copy.deepcopy(d["mlp"]),
-            search=copy.deepcopy(d["search"]),
-            importance_rounds=_as_int(
-                d["evaluate"]["importance_rounds"], "evaluate.importance_rounds"
-            ),
-        )
         if cfg.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if cfg.importance_rounds < 1:
+        if len(cfg.settings["filter"]["years"]) != 2:
+            raise ConfigError("filter.years must be [first, last]")
+        if cfg.settings["evaluate"]["importance_rounds"] < 1:
             raise ConfigError("evaluate.importance_rounds must be >= 1")
         # building every stage object up front surfaces bad values at load
         # time instead of deep inside a run
@@ -291,74 +246,57 @@ class RunConfig:
             cfg.rf_params()
             cfg.mlp_config()
             cfg.search_space()
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return cfg
 
+    @property
+    def posts(self) -> str | None:
+        return self.settings["posts"]
+
+    @property
+    def users(self) -> str | None:
+        return self.settings["users"]
+
+    @property
+    def workdir(self) -> str:
+        return self.settings["workdir"]
+
+    @property
+    def seed(self) -> int:
+        return self.settings["seed"]
+
+    @property
+    def threads(self) -> int:
+        return self.settings["threads"]
+
+    @property
+    def sampler(self) -> str:
+        """The resampling method, which names the model and report directories."""
+        return self.settings["resample"]["method"]
+
     def ingest_filter(self) -> IngestFilter:
-        return IngestFilter(tags_any_of=frozenset(self.tags), year_range=self.years)
+        d = self.settings["filter"]
+        return IngestFilter(tags_any_of=frozenset(d["tags"]), year_range=tuple(d["years"]))
 
     def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            train_fraction=self.train_fraction,
-            seed=derive_seed(self.seed, "split"),
-        )
+        return SplitSpec(seed=derive_seed(self.seed, "split"), **self.settings["split"])
 
     def resample_plan(self) -> ResamplePlan:
-        return ResamplePlan(
-            method=self.resample_method,
-            k=self.resample_k,
-            target_ratio=self.target_ratio,
-            beta=self.beta,
-            seed=derive_seed(self.seed, "resample"),
-        )
+        return ResamplePlan(seed=derive_seed(self.seed, "resample"), **self.settings["resample"])
 
     def rf_params(self) -> RfParams:
-        return RfParams(seed=derive_seed(self.seed, "forest"), **self.forest)
+        return RfParams(seed=derive_seed(self.seed, "forest"), **self.settings["forest"])
 
     def mlp_config(self) -> MlpConfig:
-        d = dict(self.mlp)
-        d["hidden"] = tuple(d.get("hidden", ()))
-        return MlpConfig(seed=derive_seed(self.seed, "mlp"), **d)
+        return MlpConfig(seed=derive_seed(self.seed, "mlp"), **self.settings["mlp"])
 
     def search_space(self) -> SearchSpace | None:
-        d = dict(self.search)
-        if not _as_bool(d.pop("enabled"), "search.enabled"):
+        d = dict(self.settings["search"])
+        if not d.pop("enabled"):
             return None
         grids = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
         return SearchSpace(seed=derive_seed(self.seed, "search"), **grids)
-
-    def canonical_dict(self) -> dict:
-        """The full settings tree with normalized value types."""
-        return {
-            "posts": self.posts,
-            "users": self.users,
-            "workdir": self.workdir,
-            "seed": self.seed,
-            "threads": self.threads,
-            "filter": {"tags": list(self.tags), "years": list(self.years)},
-            "selection": {
-                "r_threshold": self.r_threshold,
-                "ig_threshold": self.ig_threshold,
-                "mi_k": self.mi_k,
-            },
-            "split": {"train_fraction": self.train_fraction},
-            "resample": {
-                "method": self.resample_method,
-                "k": self.resample_k,
-                "target_ratio": self.target_ratio,
-                "beta": self.beta,
-            },
-            "forest": copy.deepcopy(self.forest),
-            "mlp": {
-                "hidden": [int(h) for h in self.mlp["hidden"]],
-                "learning_rate": float(self.mlp["learning_rate"]),
-                "batch_size": int(self.mlp["batch_size"]),
-                "epochs": int(self.mlp["epochs"]),
-            },
-            "search": copy.deepcopy(self.search),
-            "evaluate": {"importance_rounds": self.importance_rounds},
-        }
 
 
 def load_config(
@@ -444,7 +382,7 @@ class Paths:
 
 
 def paths_for(cfg: RunConfig) -> Paths:
-    return Paths(root=Path(cfg.workdir), sampler=cfg.resample_method)
+    return Paths(root=Path(cfg.workdir), sampler=cfg.sampler)
 
 
 def _np_default(obj):
@@ -490,31 +428,21 @@ _STAGE_HINT = {
 }
 
 
+# the top-level settings each stage's config digest covers; extraction
+# has no tunables, so the features stage's freshness rides on dataset.jsonl
+_STAGE_SETTINGS = {
+    "ingest": ("filter",),
+    "features": (),
+    "select": ("selection",),
+    "train": ("seed", "split", "resample", "forest", "mlp", "search"),
+    "evaluate": ("seed", "evaluate"),
+}
+
+
 def _fingerprint(stage: str, cfg: RunConfig) -> str:
-    d = cfg.canonical_dict()
-    if stage == "ingest":
-        part = {"filter": d["filter"]}
-    elif stage == "features":
-        part = {}  # extraction has no tunables; freshness rides on dataset.jsonl
-    elif stage == "select":
-        part = {"selection": d["selection"]}
-    elif stage == "train":
-        part = {
-            "seed": d["seed"],
-            "split": d["split"],
-            "resample": d["resample"],
-            "forest": d["forest"],
-            "mlp": d["mlp"],
-            "search": d["search"],
-        }
-    elif stage == "evaluate":
-        part = {
-            "seed": d["seed"],
-            "evaluate": d["evaluate"],
-            "sampler": d["resample"]["method"],
-        }
-    else:
-        raise ValueError(f"unknown stage: {stage}")
+    part = {key: cfg.settings[key] for key in _STAGE_SETTINGS[stage]}
+    if stage == "evaluate":
+        part["sampler"] = cfg.sampler
     text = json.dumps(part, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -667,19 +595,20 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
     p = paths_for(cfg)
     if matrix is None:
         matrix = read_features_csv(p.features_csv)
+    d = cfg.settings["selection"]
     try:
         result, corr, ig = select_features(
             matrix.x,
             matrix.y,
             matrix.names,
-            r_threshold=cfg.r_threshold,
-            ig_threshold=cfg.ig_threshold,
-            k=cfg.mi_k,
+            r_threshold=d["r_threshold"],
+            ig_threshold=d["ig_threshold"],
+            k=d["mi_k"],
         )
     except ValueError as exc:
         raise DataError(f"feature selection failed: {exc}") from exc
     write_selection_report(
-        p.selection, result, corr, ig, cfg.r_threshold, cfg.ig_threshold
+        p.selection, result, corr, ig, d["r_threshold"], d["ig_threshold"]
     )
     _record_stage(
         cfg,
@@ -896,7 +825,7 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
 
     rf_scores = forest_predict_proba(forest, x_test)
     mlp_scores = mlp_predict_proba(mlp, z_test)
-    sampler = cfg.resample_method
+    sampler = cfg.sampler
     evals = (
         evaluate_model("random-forest", sampler, y_test, rf_scores),
         evaluate_model("mlp", sampler, y_test, mlp_scores),
@@ -908,7 +837,7 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
         z_test,
         y_test,
         seed=derive_seed(cfg.seed, "importance"),
-        n_rounds=cfg.importance_rounds,
+        n_rounds=cfg.settings["evaluate"]["importance_rounds"],
     )
     report = EvalReport(
         evals=evals,
@@ -1124,7 +1053,7 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
     return {
         "schema_version": 1,
         "model": model_kind,
-        "sampler": cfg.resample_method,
+        "sampler": cfg.sampler,
         "candidates": [
             {
                 "index": i,

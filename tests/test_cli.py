@@ -43,6 +43,25 @@ def test_config_error_exits_2(tmp_path):
     assert run_cli("run", *common(tmp_path), "--set", "threads=0") == 2
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "forest.n_estimators=2.5",
+        "mlp.epochs=2.5",
+        "mlp.batch_size=32.0",
+        "forest.bootstrap=yes",
+        "forest.max_depth=true",
+        "forest.max_features=2.0",
+        "search.n_iterations=1.5",
+        "mlp.hidden=64,64,32,32,16.5",
+    ],
+)
+def test_mistyped_setting_exits_2(tmp_path, capsys, setting):
+    code = run_cli("run", *common(tmp_path), "--set", setting)
+    assert code == 2
+    assert setting.partition("=")[0] in capsys.readouterr().err
+
+
 def test_removed_require_accepted_key_exits_2(tmp_path, capsys):
     code = run_cli("run", *common(tmp_path), "--set", "filter.require_accepted=false")
     assert code == 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from soaccept import features, pipeline
-from soaccept.ingest import parse_timestamp, read_dataset
+from soaccept.ingest import IngestFilter, parse_timestamp, read_dataset
 from soaccept.pipeline import (
     ConfigError,
     DataError,
@@ -54,9 +54,10 @@ def copy_workdir(run_dir, tmp_path) -> Path:
 def test_defaults_load_without_a_file():
     cfg = load_config()
     assert cfg.seed == 0
-    assert cfg.resample_method == "smote"
-    assert cfg.tags == ("java", "javascript")
-    assert cfg.years == (2014, 2016)
+    assert cfg.sampler == "smote"
+    assert cfg.ingest_filter() == IngestFilter(
+        tags_any_of=frozenset({"java", "javascript"}), year_range=(2014, 2016)
+    )
     assert cfg.rf_params().n_estimators == 200
     assert cfg.mlp_config().hidden == (64, 64, 32, 32, 16)
     assert cfg.search_space() is None
@@ -131,6 +132,38 @@ def test_search_space_built_when_enabled():
     assert space.n_iterations == 7
     assert space.n_estimators == (10, 20)
     assert space.cv_folds == 4
+
+
+# stage config digests computed before the settings tree was checked in one
+# pass; manifests written then must stay fresh
+_DIGESTS = {
+    "ingest": "1f4f13b3d2632a8115cc7a2ba55ac75118392f1b8e4244a9e4883b11bbfca0a6",
+    "features": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    "select": "c90323bdc0c668e034ee15ece2f801235b919d019b94dcd309b32197db2a8632",
+    "train": "fa9d069d9608cc874ca9d7971286ad8095b5dff51c8fa07632fe1e9f84e4b939",
+    "evaluate": "fc8bddb132b1f266a969287db8cbadca0b91965149a79d8286cfae20b1a05fc1",
+}
+
+
+@pytest.mark.parametrize(
+    "sets, changed",
+    [
+        ([], {}),
+        (
+            ["selection.r_threshold=1"],
+            {"select": "7a8c1f90e45f1917af803f543f8db9070cf607d67346e30504bc51df3a1c1d12"},
+        ),
+        (
+            ["mlp.learning_rate=1"],
+            {"train": "5759587c20c97bc968f3205d0b17df1b9dff977ab879cb1374f3ca87173ad2a7"},
+        ),
+    ],
+    ids=["defaults", "r_threshold-int", "learning_rate-int"],
+)
+def test_stage_fingerprints_are_pinned(sets, changed):
+    cfg = load_config(sets=sets)
+    got = {stage: pipeline._fingerprint(stage, cfg) for stage in _DIGESTS}
+    assert got == {**_DIGESTS, **changed}
 
 
 def test_stage_seeds_differ():
