@@ -53,10 +53,8 @@ class RfParams:
         if self.min_samples_leaf < 1:
             raise ForestError("min_samples_leaf must be >= 1")
         if isinstance(self.max_features, str):
-            if self.max_features not in ("sqrt", "auto", "all"):
-                raise ForestError(
-                    "max_features must be 'sqrt', 'auto', 'all', or a positive int"
-                )
+            if self.max_features not in ("sqrt", "all"):
+                raise ForestError("max_features must be 'sqrt', 'all', or a positive int")
         elif self.max_features < 1:
             raise ForestError("integer max_features must be >= 1")
 
@@ -99,7 +97,7 @@ def gini(labels) -> float:
 
 
 def n_sub_features(d: int, max_features) -> int:
-    if max_features in ("sqrt", "auto"):
+    if max_features == "sqrt":
         return min(d, math.ceil(math.sqrt(d)))
     if max_features == "all":
         return d

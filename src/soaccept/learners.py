@@ -60,7 +60,7 @@ class SearchSpace:
     max_depth: tuple = (10, 21, 32, 43, 54, 65, 76, 87, 98, 110)
     min_samples_split: tuple = (2, 3, 5, 8, 10)
     min_samples_leaf: tuple = (1, 2, 3, 5)
-    max_features: tuple = ("sqrt", "auto")
+    max_features: tuple = ("sqrt",)
     bootstrap: tuple = (True,)
     n_iterations: int = 100
     cv_folds: int = 4
@@ -71,6 +71,8 @@ class SearchSpace:
                      "min_samples_leaf", "max_features", "bootstrap"):
             if len(getattr(self, name)) == 0:
                 raise LearnerError(f"search space field {name} must not be empty")
+            for value in getattr(self, name):
+                RfParams(**{name: value})  # the forest's own range checks
         if self.n_iterations < 1:
             raise LearnerError("n_iterations must be >= 1")
         if self.cv_folds < 2:

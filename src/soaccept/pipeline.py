@@ -129,7 +129,7 @@ DEFAULT_CONFIG = {
         "max_depth": [10, 21, 32, 43, 54, 65, 76, 87, 98, 110],
         "min_samples_split": [2, 3, 5, 8, 10],
         "min_samples_leaf": [1, 2, 3, 5],
-        "max_features": ["sqrt", "auto"],
+        "max_features": ["sqrt"],
         "bootstrap": [True],
     },
     "evaluate": {"importance_rounds": 5},

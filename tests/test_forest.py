@@ -54,7 +54,8 @@ def test_params_validation():
 
 def test_feature_subset_sizes():
     assert n_sub_features(14, "sqrt") == 4
-    assert n_sub_features(14, "auto") == 4
+    with pytest.raises(ForestError):
+        RfParams(max_features="auto")  # once an alias of "sqrt"
     assert n_sub_features(16, "sqrt") == 4
     assert n_sub_features(14, "all") == 14
     assert n_sub_features(14, 3) == 3

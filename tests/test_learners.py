@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _synth import make_blobs, make_planted
-from soaccept.forest import RfParams, fit_forest
+from soaccept.forest import ForestError, RfParams, fit_forest
 from soaccept.learners import (
     ImportanceReport,
     LearnerError,
@@ -88,6 +88,10 @@ def test_search_space_validation():
         SearchSpace(n_iterations=0)
     with pytest.raises(LearnerError):
         SearchSpace(cv_folds=1)
+    with pytest.raises(ForestError):
+        SearchSpace(max_features=("sqrt", "auto"))
+    with pytest.raises(ForestError):
+        SearchSpace(min_samples_split=(1, 2))
 
 
 TINY_SPACE = SearchSpace(

