@@ -150,14 +150,14 @@ def _best_split(x, y, idx, feats, min_leaf):
     return best
 
 
-def fit_tree(x, y, params: RfParams, feature_subsampler=None, seed: int = 0, rng=None):
+def fit_tree(x, y, params: RfParams, rng=None):
     """Grow one Gini decision tree.
 
-    `feature_subsampler(rng)` returns the candidate feature indices for
-    a node; by default it draws ceil-sqrt many (per `params.max_features`).
-    A node becomes a leaf when pure, smaller than min_samples_split, at
-    max_depth, or without any cut honouring min_samples_leaf.  Zero-gain
-    splits are allowed, which is what lets depth-2 trees shatter XOR.
+    Each node tries a subset of `params.max_features` features drawn
+    from `rng` (by default seeded with 0).  A node becomes a leaf when
+    pure, smaller than min_samples_split, at max_depth, or without any cut
+    honouring min_samples_leaf.  Zero-gain splits are allowed, which is
+    what lets depth-2 trees shatter XOR.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -167,10 +167,8 @@ def fit_tree(x, y, params: RfParams, feature_subsampler=None, seed: int = 0, rng
         raise ForestError("cannot fit a tree on zero rows")
     n, d = x.shape
     if rng is None:
-        rng = np.random.default_rng(seed)
-    if feature_subsampler is None:
-        m = n_sub_features(d, params.max_features)
-        feature_subsampler = lambda r: _feature_subset(r, d, m)
+        rng = np.random.default_rng(0)
+    m = n_sub_features(d, params.max_features)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -192,7 +190,7 @@ def fit_tree(x, y, params: RfParams, feature_subsampler=None, seed: int = 0, rng
             return node
         if n_node < params.min_samples_split or depth >= params.max_depth:
             return node
-        feats = feature_subsampler(rng)
+        feats = _feature_subset(rng, d, m)
         best = _best_split(x, y, idx, feats, params.min_samples_leaf)
         if best is None:
             return node
@@ -323,10 +321,6 @@ def forest_predict_proba(model: ForestModel, x) -> np.ndarray:
     for tree in model.trees:
         acc += tree_predict_proba1(tree, x)
     return acc / len(model.trees)
-
-
-def forest_predict(model: ForestModel, x) -> np.ndarray:
-    return (forest_predict_proba(model, x) >= 0.5).astype(np.int64)
 
 
 def forest_to_dict(model: ForestModel) -> dict:

@@ -45,13 +45,6 @@ def split_indices(n: int, spec: SplitSpec):
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def split_train_test(x, y, spec: SplitSpec):
-    x = np.asarray(x)
-    y = np.asarray(y)
-    train_idx, test_idx = split_indices(x.shape[0], spec)
-    return x[train_idx], y[train_idx], x[test_idx], y[test_idx]
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """Candidate grid for the randomized forest search."""

@@ -201,10 +201,6 @@ def mlp_predict_proba(model: MlpModel, x) -> np.ndarray:
     return _sigmoid(z_out).ravel()
 
 
-def mlp_predict(model: MlpModel, x) -> np.ndarray:
-    return (mlp_predict_proba(model, x) >= 0.5).astype(np.int64)
-
-
 def mlp_to_dict(model: MlpModel) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,

@@ -15,7 +15,6 @@ from soaccept.forest import (
     fit_tree,
     fit_trees,
     forest_from_dict,
-    forest_predict,
     forest_predict_proba,
     forest_to_dict,
     gini,
@@ -183,7 +182,7 @@ def test_forest_probability_is_tree_average():
                         oob_error=0.0, importances=np.full(3, 1 / 3), n_features=3)
     proba = forest_predict_proba(model, np.zeros((2, 3)))
     assert np.array_equal(proba, np.array([0.4, 0.4]))
-    assert np.array_equal(forest_predict(model, np.zeros((2, 3))), np.array([0, 0]))
+    assert np.array_equal(proba >= 0.5, np.array([False, False]))
 
 
 def test_oob_error_tracks_held_out_error():
@@ -192,7 +191,7 @@ def test_oob_error_tracks_held_out_error():
     x_te, y_te = x[1400:], y[1400:]
     model = fit_forest(x_tr, y_tr, RfParams(n_estimators=30, max_depth=10,
                                             min_samples_split=5, min_samples_leaf=2, seed=1))
-    held_out = float(np.mean(forest_predict(model, x_te) != y_te))
+    held_out = float(np.mean((forest_predict_proba(model, x_te) >= 0.5) != y_te))
     assert held_out < 0.2
     assert abs(model.oob_error - held_out) < 0.05
 

@@ -12,7 +12,6 @@ from soaccept.learners import (
     permutation_importance,
     random_search,
     split_indices,
-    split_train_test,
     stratified_kfold,
 )
 from soaccept.mlp import MlpConfig, fit_mlp
@@ -47,7 +46,8 @@ def test_split_is_seeded():
 
 def test_split_train_test_shapes():
     x, y = make_blobs(40, seed=1)
-    x_tr, y_tr, x_te, y_te = split_train_test(x, y, SplitSpec(seed=2))
+    train, test = split_indices(len(y), SplitSpec(seed=2))
+    x_tr, y_tr, x_te, y_te = x[train], y[train], x[test], y[test]
     assert x_tr.shape == (28, 2) and y_tr.shape == (28,)
     assert x_te.shape == (12, 2) and y_te.shape == (12,)
 
