@@ -180,7 +180,7 @@ def _checked(default, value, path: str = ""):
     else:
         accepts, wanted = _TYPE_RULE[type(default)]
     if not accepts(value):
-        raise ConfigError(f"{path} must be {wanted}, got {json.dumps(value)}")
+        raise ConfigError(f"{path} must be {wanted}, got {value!r}")
     return float(value) if isinstance(default, float) else value
 
 
