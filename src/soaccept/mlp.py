@@ -26,7 +26,8 @@ class MlpError(ValueError):
 
 
 class DivergenceError(MlpError):
-    """Raised when the epoch loss stops being finite."""
+    """Raised when an epoch's mean minibatch loss, or any weight or bias
+    after the epoch, is no longer finite."""
 
     def __init__(self, epoch: int):
         self.epoch = epoch
@@ -143,12 +144,10 @@ def init_parameters(n_features: int, config: MlpConfig):
 def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
     """Train with mini-batch SGD under a seeded per-epoch shuffle.
 
-    The full-data loss is recorded after every epoch; a non-finite value
-    aborts with DivergenceError naming the epoch (1-based).  That loss is
-    computed over row blocks of `batch_size`, so every matrix product of
-    a fit has a training batch's shape: a product over all rows is large
-    enough for OpenBLAS to start its threads, which then spin between
-    epochs on a second core for no gain.
+    Each epoch's entry in `loss_history` is the row-weighted mean of the
+    losses of its minibatches, each taken before that batch's update.  A
+    non-finite mean, or a non-finite weight or bias after the epoch,
+    aborts with DivergenceError naming the epoch (1-based).
     """
     if config is None:
         config = MlpConfig()
@@ -165,23 +164,23 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
     # separate stream for the shuffles so init and SGD do not interleave
     rng = np.random.default_rng(derive_seed(config.seed, "sgd"))
     history = []
-    # overflow shows up as a non-finite epoch loss and raises below,
-    # so the intermediate numpy warnings carry no extra information
+    # overflow shows up as a non-finite loss or parameter and raises
+    # below, so the intermediate numpy warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
+            loss_sum = 0.0
             for start in range(0, n, config.batch_size):
                 batch = order[start : start + config.batch_size]
-                _, gw, gb = loss_and_gradients(weights, biases, x[batch], y[batch])
+                loss, gw, gb = loss_and_gradients(weights, biases, x[batch], y[batch])
+                loss_sum += loss * len(batch)
                 for layer in range(len(weights)):
                     weights[layer] -= config.learning_rate * gw[layer]
                     biases[layer] -= config.learning_rate * gb[layer]
-            z_out = np.concatenate([
-                _forward(weights, biases, x[start : start + config.batch_size])[1]
-                for start in range(0, n, config.batch_size)
-            ])
-            epoch_loss = bce_loss(z_out, y)
-            if not np.isfinite(epoch_loss):
+            epoch_loss = loss_sum / n
+            if not np.isfinite(epoch_loss) or not all(
+                np.isfinite(p).all() for p in weights + biases
+            ):
                 raise DivergenceError(epoch)
             history.append(epoch_loss)
     return MlpModel(

@@ -238,16 +238,19 @@ class RunConfig:
         if cfg.settings["evaluate"]["importance_rounds"] < 1:
             raise ConfigError("evaluate.importance_rounds must be >= 1")
         # building every stage object up front surfaces bad values at load
-        # time instead of deep inside a run
-        try:
-            cfg.ingest_filter()
-            cfg.split_spec()
-            cfg.resample_plan()
-            cfg.rf_params()
-            cfg.mlp_config()
-            cfg.search_space()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # time instead of deep inside a run, named by their section
+        for section, build in (
+            ("filter", cfg.ingest_filter),
+            ("split", cfg.split_spec),
+            ("resample", cfg.resample_plan),
+            ("forest", cfg.rf_params),
+            ("mlp", cfg.mlp_config),
+            ("search", cfg.search_space),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
         return cfg
 
     @property

@@ -62,6 +62,25 @@ def test_mistyped_setting_exits_2(tmp_path, capsys, setting):
     assert setting.partition("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["resample.k=0"],
+        ["filter.years=2016,2014"],
+        ["forest.max_features=auto"],
+        ["search.enabled=true", "search.max_features=auto"],
+        ["mlp.hidden=64,64,32,32,0"],
+        ["split.train_fraction=1.5"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_setting_names_its_section(tmp_path, capsys, settings):
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    assert run_cli("run", *common(tmp_path), *sets) == 2
+    section = settings[0].partition(".")[0]
+    assert capsys.readouterr().err.startswith(f"error: {section}: ")
+
+
 def test_removed_require_accepted_key_exits_2(tmp_path, capsys):
     code = run_cli("run", *common(tmp_path), "--set", "filter.require_accepted=false")
     assert code == 2

@@ -1,10 +1,12 @@
 import json
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from _synth import make_blobs, max_relative_error, numeric_gradients
+from soaccept import mlp
 from soaccept.mlp import (
     DivergenceError,
     MlpConfig,
@@ -155,35 +157,76 @@ def test_divergence_error_survives_pickle():
     assert str(err) == str(DivergenceError(3))
 
 
-def _fit_with_full_matrix_epoch_loss(x, y, config):
-    """fit_mlp as it was before the epoch loss went blockwise: one
-    forward pass over the whole matrix after every epoch."""
+def _fit_with_minibatch_epoch_loss(x, y, config):
+    """fit_mlp written out: plain SGD, and for each epoch the
+    row-weighted mean of the losses its minibatches returned."""
     weights, biases = init_parameters(x.shape[1], config)
     rng = np.random.default_rng(derive_seed(config.seed, "sgd"))
     history = []
     for _ in range(config.epochs):
         order = rng.permutation(x.shape[0])
+        loss_sum = 0.0
         for start in range(0, x.shape[0], config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, gw, gb = loss_and_gradients(weights, biases, x[batch], y[batch])
+            loss, gw, gb = loss_and_gradients(weights, biases, x[batch], y[batch])
+            loss_sum += loss * len(batch)
             for layer in range(len(weights)):
                 weights[layer] -= config.learning_rate * gw[layer]
                 biases[layer] -= config.learning_rate * gb[layer]
-        history.append(bce_loss(_forward(weights, biases, x)[1], y))
+        history.append(loss_sum / x.shape[0])
     return weights, biases, history
 
 
-@pytest.mark.parametrize("n, batch_size", [(1942, 32), (100, 7), (40, 64)])
-def test_blockwise_epoch_loss_matches_full_matrix_reference(n, batch_size):
+def _noisy_threshold_data(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, 3))
     y = (x[:, 0] + 0.5 * rng.standard_normal(n) > 0.6).astype(np.int64)
+    return x, y
+
+
+@pytest.mark.parametrize("n, batch_size", [(1942, 32), (100, 7), (40, 64)])
+def test_epoch_loss_is_row_weighted_minibatch_mean(n, batch_size):
+    x, y = _noisy_threshold_data(n)
     cfg = MlpConfig(learning_rate=0.05, batch_size=batch_size, epochs=4, seed=n)
-    weights, biases, history = _fit_with_full_matrix_epoch_loss(x, y, cfg)
+    weights, biases, history = _fit_with_minibatch_epoch_loss(x, y, cfg)
     model = fit_mlp(x, y, cfg)
     for got, want in zip(model.weights + model.biases, weights + biases):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    np.testing.assert_allclose(model.loss_history, history, rtol=1e-14, atol=0.0)
+    assert list(model.loss_history) == history
+
+
+@pytest.mark.parametrize("n, batch_size", [(100, 7), (40, 64), (64, 16)])
+def test_one_forward_pass_per_batch(monkeypatch, n, batch_size):
+    x, y = _noisy_threshold_data(n)
+    cfg = MlpConfig(hidden=(4, 3, 3, 2, 2), batch_size=batch_size, epochs=3, seed=1)
+    calls = []
+
+    def counting_forward(*args):
+        calls.append(1)
+        return _forward(*args)
+
+    monkeypatch.setattr(mlp, "_forward", counting_forward)
+    fit_mlp(x, y, cfg)
+    assert len(calls) == math.ceil(n / batch_size) * cfg.epochs
+
+
+def test_blow_up_on_the_last_batch_raises(monkeypatch):
+    x, y = make_blobs(40, seed=17)
+    cfg = MlpConfig(hidden=(4, 3, 3, 2, 2), batch_size=16, epochs=3, seed=18)
+    remaining = [math.ceil(40 / 16) * cfg.epochs]
+
+    def last_call_blows_up(*args):
+        loss, gw, gb = loss_and_gradients(*args)
+        remaining[0] -= 1
+        if remaining[0] == 0:
+            gw[0] = np.full_like(gw[0], np.inf)
+        return loss, gw, gb
+
+    monkeypatch.setattr(mlp, "loss_and_gradients", last_call_blows_up)
+    with pytest.raises(DivergenceError) as info:
+        fit_mlp(x, y, cfg)
+    assert info.value.epoch == cfg.epochs
+    assert remaining[0] == 0
 
 
 def test_training_is_deterministic():
