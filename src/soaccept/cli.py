@@ -15,7 +15,7 @@ from .forest import ForestError
 from .ingest import DecodeError, ParseError, SchemaVersionError
 from .learners import LearnerError
 from .metrics import MetricsError
-from .mlp import DivergenceError, MlpError
+from .mlp import MlpError
 from .pipeline import (
     ConfigError,
     DataError,
@@ -41,7 +41,6 @@ _DATA_ERRORS = (
     ResampleError,
     ForestError,
     MlpError,
-    DivergenceError,
     LearnerError,
     MetricsError,
 )

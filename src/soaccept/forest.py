@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,17 +83,6 @@ class ForestModel:
     importances: np.ndarray  # (d,), nonnegative, sums to 1
     n_features: int
     feature_names: tuple[str, ...] | None = None
-
-
-def gini(labels) -> float:
-    """Gini impurity 1 - sum(p_c^2) of a binary label array."""
-    labels = np.asarray(labels)
-    n = labels.size
-    if n == 0:
-        return 0.0
-    p1 = float(np.count_nonzero(labels)) / n
-    p0 = 1.0 - p1
-    return 1.0 - p0 * p0 - p1 * p1
 
 
 def n_sub_features(d: int, max_features) -> int:
@@ -327,15 +316,7 @@ def forest_to_dict(model: ForestModel) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": "random-forest",
-        "params": {
-            "n_estimators": model.params.n_estimators,
-            "max_depth": model.params.max_depth,
-            "min_samples_split": model.params.min_samples_split,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "max_features": model.params.max_features,
-            "bootstrap": model.params.bootstrap,
-            "seed": model.params.seed,
-        },
+        "params": asdict(model.params),
         "n_features": model.n_features,
         "feature_names": list(model.feature_names) if model.feature_names else None,
         "oob_error": model.oob_error,

@@ -11,7 +11,7 @@ the model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,13 +204,7 @@ def mlp_to_dict(model: MlpModel) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": "mlp",
-        "config": {
-            "hidden": list(model.config.hidden),
-            "learning_rate": model.config.learning_rate,
-            "batch_size": model.config.batch_size,
-            "epochs": model.config.epochs,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "n_features": model.n_features,
         "weights": [[[float(v) for v in row] for row in w] for w in model.weights],
         "biases": [[float(v) for v in b] for b in model.biases],
@@ -224,18 +218,10 @@ def mlp_from_dict(payload: dict) -> MlpModel:
         raise MlpError(f"unsupported model schema version: {version!r}")
     if payload.get("kind") != "mlp":
         raise MlpError(f"not an mlp model file: kind={payload.get('kind')!r}")
-    cfg = payload["config"]
-    config = MlpConfig(
-        hidden=tuple(cfg["hidden"]),
-        learning_rate=cfg["learning_rate"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-    )
     return MlpModel(
         weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
         biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-        config=config,
+        config=MlpConfig(**payload["config"]),
         n_features=int(payload["n_features"]),
         loss_history=tuple(payload["loss_history"]),
     )

@@ -27,7 +27,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -388,21 +388,9 @@ def paths_for(cfg: RunConfig) -> Paths:
     return Paths(root=Path(cfg.workdir), sampler=cfg.sampler)
 
 
-def _np_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_np_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -419,31 +407,20 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-_STAGE_ORDER = ("ingest", "features", "select", "train", "evaluate")
-
-# first artifact of each stage, used in dependency error messages
-_STAGE_HINT = {
-    "ingest": "dataset.jsonl",
-    "features": "features.csv",
-    "select": "selection.json",
-    "train": "trained models",
-    "evaluate": "evaluation report",
-}
-
-
-# the top-level settings each stage's config digest covers; extraction
+# each stage in run order: its first artifact, named in dependency
+# errors, and the top-level settings its config digest covers; extraction
 # has no tunables, so the features stage's freshness rides on dataset.jsonl
-_STAGE_SETTINGS = {
-    "ingest": ("filter",),
-    "features": (),
-    "select": ("selection",),
-    "train": ("seed", "split", "resample", "forest", "mlp", "search"),
-    "evaluate": ("seed", "evaluate"),
+_STAGES = {
+    "ingest": ("dataset.jsonl", ("filter",)),
+    "features": ("features.csv", ()),
+    "select": ("selection.json", ("selection",)),
+    "train": ("trained models", ("seed", "split", "resample", "forest", "mlp", "search")),
+    "evaluate": ("evaluation report", ("seed", "evaluate")),
 }
 
 
 def _fingerprint(stage: str, cfg: RunConfig) -> str:
-    part = {key: cfg.settings[key] for key in _STAGE_SETTINGS[stage]}
+    part = {key: cfg.settings[key] for key in _STAGES[stage][1]}
     if stage == "evaluate":
         part["sampler"] = cfg.sampler
     text = json.dumps(part, sort_keys=True, separators=(",", ":"))
@@ -472,39 +449,38 @@ def _record_stage(cfg: RunConfig, stage: str, inputs: dict, outputs) -> None:
     _write_json(p.manifest, manifest)
 
 
-def _resolve_input(cfg: RunConfig, p: Paths, stage: str, label: str) -> Path | None:
-    if stage == "ingest":
-        # source dumps are external; they are only comparable while the
-        # config still points at them, and the work directory stays
-        # self-contained without them (dataset.jsonl is pinned below)
-        source = {"posts": cfg.posts, "users": cfg.users}.get(label)
-        if source is None or not Path(source).exists():
-            return None
-        return Path(source)
-    return p.root / label
-
-
 def _verify_chain(cfg: RunConfig, priors, requester: str) -> None:
+    """Check each of `priors`, in run order, against its manifest record.
+
+    Every output is hashed once.  A later stage's recorded input is then
+    compared with the digest its producer recorded, which the same loop
+    has just checked against the file.
+    """
     p = paths_for(cfg)
-    manifest = _load_manifest(p)
-    stages = manifest["stages"]
+    stages = _load_manifest(p)["stages"]
+    verified = {}  # output path -> recorded digest, checked against the file
     for prior in priors:
         entry = stages.get(prior)
         if entry is None:
             raise StageError(
-                f"stage '{requester}' needs {_STAGE_HINT[prior]}; run {prior} first"
+                f"stage '{requester}' needs {_STAGES[prior][0]}; run {prior} first"
             )
         if entry.get("config") != _fingerprint(prior, cfg):
             raise StageError(
                 f"settings for stage '{prior}' changed after it ran; run {prior} first"
             )
         for label, want in entry.get("inputs", {}).items():
-            src = _resolve_input(cfg, p, prior, label)
-            if src is None:
-                continue
-            if not src.exists():
-                raise StageError(f"input {label} of stage '{prior}' is missing; run {prior} first")
-            if _sha256_file(src) != want:
+            if prior == "ingest":
+                # source dumps are external; they are only comparable while
+                # the config still points at them, and the work directory
+                # stays self-contained without them (dataset.jsonl is pinned)
+                source = {"posts": cfg.posts, "users": cfg.users}.get(label)
+                if source is None or not Path(source).exists():
+                    continue
+                got = _sha256_file(source)
+            else:
+                got = verified.get(label)
+            if got != want:
                 raise StageError(f"{label} changed after stage '{prior}' ran; run {prior} first")
         for rel, want in entry.get("outputs", {}).items():
             out = p.root / rel
@@ -512,12 +488,13 @@ def _verify_chain(cfg: RunConfig, priors, requester: str) -> None:
                 raise StageError(f"{rel} is missing; run {prior} first")
             if _sha256_file(out) != want:
                 raise StageError(f"{rel} was modified after stage '{prior}' ran; run {prior} first")
+            verified[rel] = want
 
 
 def ensure_fresh(cfg: RunConfig, stage: str) -> None:
     """Fail with the stage to rerun when any prerequisite is absent or stale."""
-    idx = _STAGE_ORDER.index(stage)
-    _verify_chain(cfg, _STAGE_ORDER[:idx], requester=stage)
+    order = list(_STAGES)
+    _verify_chain(cfg, order[: order.index(stage)], requester=stage)
 
 
 # ---------------------------------------------------------------------------
@@ -764,14 +741,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
             search_path,
             {
                 "schema_version": 1,
-                "best": {
-                    "n_estimators": params.n_estimators,
-                    "max_depth": params.max_depth,
-                    "min_samples_split": params.min_samples_split,
-                    "min_samples_leaf": params.min_samples_leaf,
-                    "max_features": params.max_features,
-                    "bootstrap": params.bootstrap,
-                },
+                "best": {k: v for k, v in asdict(params).items() if k != "seed"},
                 "trials": search_result.trials,
             },
         )

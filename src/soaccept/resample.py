@@ -248,8 +248,7 @@ def apply_plan(
     if n_min == 0 or n_maj == 0:
         raise ResampleError("both classes must be present to resample")
 
-    _, scaler = standardize(x)
-    z = scaler.transform(x)
+    z, scaler = standardize(x)
     z_min = z[min_mask]
     z_maj = z[~min_mask]
 

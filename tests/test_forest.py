@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _synth import make_planted
 from soaccept.forest import (
+    _best_split,
     DecisionTree,
     ForestError,
     ForestModel,
@@ -17,7 +18,6 @@ from soaccept.forest import (
     forest_from_dict,
     forest_predict_proba,
     forest_to_dict,
-    gini,
     load_forest,
     n_sub_features,
     save_forest,
@@ -28,12 +28,18 @@ ALL = RfParams(max_features="all", min_samples_split=2, min_samples_leaf=1,
                max_depth=10, n_estimators=1)
 
 
-def test_gini_examples():
-    assert gini([0, 0, 0, 0]) == 0.0
-    assert gini([1, 1]) == 0.0
-    assert gini([0, 1]) == 0.5
-    assert gini([1, 1, 1, 0]) == 0.375
-    assert gini([]) == 0.0
+@pytest.mark.parametrize(
+    "left, right, impurity",
+    [
+        ([0, 0, 0, 0], [1, 1], 0.0),  # two pure children
+        ([0, 1], [1, 1, 1, 0], (2 * 0.5 + 4 * 0.375) / 6),  # Gini 0.5 and 0.375
+    ],
+)
+def test_best_split_weighs_child_gini_impurities(left, right, impurity):
+    # one feature with two values, so the only cut separates `left` from `right`
+    x = np.array([[0.0]] * len(left) + [[1.0]] * len(right))
+    y = np.array(left + right)
+    assert _best_split(x, y, np.arange(y.size), [0], 1) == (impurity, 0, 0.5)
 
 
 def test_params_validation():

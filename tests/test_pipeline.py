@@ -324,6 +324,38 @@ def test_config_change_marks_stage_stale(run_dir, tmp_path):
     cmd_train(cfg)
 
 
+def test_rerun_producer_marks_its_consumer_stale(run_dir, tmp_path):
+    # train's settings are unchanged, but its recorded selection.json no
+    # longer matches the digest select recorded on the rerun
+    wd = copy_workdir(run_dir, tmp_path)
+    cfg = make_config(wd, **{"selection.ig_threshold": 0.05})
+    cmd_select(cfg)
+    stale = "selection.json changed after stage 'train' ran; run train first"
+    with pytest.raises(StageError, match=stale):
+        cmd_evaluate(cfg)
+    with pytest.raises(StageError, match=stale):
+        cmd_rank(cfg, write_payload(tmp_path, rank_payload()))
+
+
+def test_freshness_check_hashes_each_file_once(run_dir, tmp_path, monkeypatch):
+    hashed = []
+    original = pipeline._sha256_file
+
+    def counting(path):
+        hashed.append(Path(path).resolve())
+        return original(path)
+
+    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    cfg = make_config(run_dir)
+    request = write_payload(tmp_path, rank_payload())
+    for check in (lambda: pipeline.ensure_fresh(cfg, "evaluate"),
+                  lambda: cmd_rank(cfg, request)):
+        hashed.clear()
+        check()
+        assert (run_dir / "features.csv").resolve() in hashed
+        assert len(hashed) == len(set(hashed))
+
+
 def test_changed_source_dump_marks_ingest_stale(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     posts = tmp_path / "Posts.xml"
