@@ -430,7 +430,12 @@ def _fingerprint(stage: str, cfg: RunConfig) -> str:
 def _load_manifest(p: Paths) -> dict:
     if not p.manifest.exists():
         return {"schema_version": 1, "stages": {}}
-    manifest = _read_json(p.manifest)
+    try:
+        manifest = _read_json(p.manifest)
+    except ValueError:  # not JSON, or not UTF-8
+        manifest = None
+    if not isinstance(manifest, dict) or "stages" not in manifest:
+        raise StageError("manifest.json is corrupt; remove it and rerun ingest")
     if manifest.get("schema_version") != 1:
         raise StageError(
             f"manifest schema {manifest.get('schema_version')!r} is not supported"

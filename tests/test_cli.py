@@ -122,6 +122,18 @@ def test_stage_dependency_error_exits_4(tmp_path, capsys):
     assert "run features first" in err
 
 
+@pytest.mark.parametrize(
+    "text", ['{"schema_version": 1, "stag', '{"schema_version": 1}', "[]"],
+    ids=["truncated", "no-stages", "list"],
+)
+def test_corrupt_manifest_exits_4(tmp_path, capsys, text):
+    wd = tmp_path / "wd"
+    assert run_cli("ingest", *common(wd)) == 0
+    (wd / "manifest.json").write_text(text, encoding="utf-8")
+    assert run_cli("features", *common(wd)) == 4
+    assert "manifest.json is corrupt; remove it and rerun ingest" in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_3(tmp_path):
     code = run_cli(
         "ingest",
