@@ -191,8 +191,7 @@ class EvalReport:
     meta: dict | None = None  # split sizes and similar context
 
 
-_SAMPLER_COLORS = {"none": "#7f7f7f", "smote": "#1f77b4", "adasyn": "#2ca02c"}
-_FALLBACK_COLORS = ("#d62728", "#9467bd", "#8c564b", "#e377c2")
+_MODEL_COLORS = {"random-forest": "#1f77b4", "mlp": "#ff7f0e"}
 
 
 def _pct(v: float) -> str:
@@ -330,12 +329,8 @@ def _roc_svg(report: EvalReport) -> str:
         f'<line x1="{margin}" y1="{margin + plot}" x2="{margin + plot}" y2="{margin}" '
         'stroke="#d62728" stroke-dasharray="6,4"/>'
     )
-    fallback = 0
     for idx, ev in enumerate(report.evals):
-        color = _SAMPLER_COLORS.get(ev.sampler)
-        if color is None:
-            color = _FALLBACK_COLORS[fallback % len(_FALLBACK_COLORS)]
-            fallback += 1
+        color = _MODEL_COLORS[ev.model]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{_svg_path(ev.roc.points, plot, plot, margin)}"/>'

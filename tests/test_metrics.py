@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,19 @@ def test_emit_report_writes_all_files(tmp_path):
     svg = (tmp_path / "roc.svg").read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg
+
+
+def test_roc_curves_of_one_sampler_differ_in_colour(tmp_path):
+    # a pipeline report holds both models under the same sampler
+    y = [0, 1, 1, 0]
+    report = EvalReport(evals=(
+        evaluate_model("random-forest", "smote", y, [0.1, 0.9, 0.8, 0.3]),
+        evaluate_model("mlp", "smote", y, [0.4, 0.6, 0.7, 0.2]),
+    ))
+    emit_report(report, tmp_path)
+    svg = (tmp_path / "roc.svg").read_text()
+    strokes = re.findall(r'<polyline fill="none" stroke="([^"]+)"', svg)
+    assert len(strokes) == 2 and strokes[0] != strokes[1]
 
 
 def test_emit_report_is_byte_deterministic(tmp_path):
