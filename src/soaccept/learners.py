@@ -158,10 +158,12 @@ def random_search(x, y, space: SearchSpace, plan: ResamplePlan) -> SearchResult:
 
 
 def permutation_importance(predict_proba, x, y, seed: int, n_rounds: int = 5):
-    """Mean accuracy drop when one column is shuffled, clamped at zero.
+    """Mean accuracy drop when one column is shuffled.
 
-    Each column gets its own derived generator, so scores do not depend
-    on evaluation order.
+    A drop at or below two binomial standard errors of the base accuracy,
+    2 * sqrt(base * (1 - base) / n), is what resampling the test rows
+    would give, and counts as 0.  Each column gets its own derived
+    generator, so scores do not depend on evaluation order.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -176,7 +178,8 @@ def permutation_importance(predict_proba, x, y, seed: int, n_rounds: int = 5):
             xp[:, j] = xp[rng.permutation(n), j]
             acc += float(np.mean((predict_proba(xp) >= 0.5).astype(np.int64) == y))
         drops[j] = base - acc / n_rounds
-    return np.maximum(drops, 0.0)
+    floor = 2.0 * math.sqrt(base * (1.0 - base) / n)
+    return np.where(drops > floor, drops, 0.0)
 
 
 def _normalize(values) -> np.ndarray:

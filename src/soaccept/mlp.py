@@ -129,13 +129,18 @@ def loss_and_gradients(weights, biases, x, y):
 
 
 def init_parameters(n_features: int, config: MlpConfig):
-    """Uniform Glorot weights, zero biases, drawn layer by layer."""
+    """Uniform Glorot weights, zero biases, drawn layer by layer.
+
+    The Glorot limit is scaled by 4, as Glorot & Bengio (2010) advise for
+    logistic units; at the plain limit the five sigmoid layers start
+    nearly flat and small training sets leave a constant predictor.
+    """
     rng = np.random.default_rng(config.seed)
     sizes = [n_features, *config.hidden, 1]
     weights = []
     biases = []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (n_in + n_out))
+        limit = 4.0 * np.sqrt(6.0 / (n_in + n_out))
         weights.append(rng.uniform(-limit, limit, size=(n_out, n_in)))
         biases.append(np.zeros(n_out))
     return weights, biases

@@ -191,6 +191,20 @@ def test_permutation_importance_finds_the_live_column():
     assert np.array_equal(drops, again)
 
 
+def test_drop_within_the_noise_floor_counts_as_none():
+    # column 0 is the label with 20 of 400 rows flipped; column 1 corrects
+    # 2 of them, so shuffling it costs about 4 rows, a 0.01 drop, below the
+    # floor 2 * sqrt(base * (1 - base) / n) = 0.021 at base accuracy 0.955
+    y = np.tile([1, 0], 200)
+    x = np.zeros((400, 2))
+    x[:, 0] = y
+    x[:20, 0] = 1 - y[:20]
+    x[:2, 1] = 1
+    drops = permutation_importance(lambda m: np.abs(m[:, 0] - m[:, 1]), x, y, seed=0)
+    assert drops[0] > 0.3
+    assert drops[1] == 0.0
+
+
 def test_permutation_importance_clamps_negative_drops():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((100, 2))

@@ -431,6 +431,17 @@ def test_fixture_forest_beats_chance_by_a_wide_margin(run_dir):
     assert rf["auc"] > 0.9
 
 
+def test_fixture_models_beat_the_majority_share(run_dir):
+    # a model that degrades to a constant predictor scores the majority
+    # share and an MCC of 0
+    metrics = json.loads((run_dir / "report/smote/metrics.json").read_text("utf-8"))
+    for ev in metrics["evals"]:
+        cm = ev["confusion"]
+        majority = max(cm["tp"] + cm["fn"], cm["tn"] + cm["fp"]) / sum(cm.values())
+        assert ev["accuracy"] > majority, ev["model"]
+        assert ev["mcc"] > 0, ev["model"]
+
+
 def test_search_writes_trials(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     cfg = make_config(
