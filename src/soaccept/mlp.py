@@ -132,8 +132,9 @@ def init_parameters(n_features: int, config: MlpConfig):
     """Uniform Glorot weights, zero biases, drawn layer by layer.
 
     The Glorot limit is scaled by 4, as Glorot & Bengio (2010) advise for
-    logistic units; at the plain limit the five sigmoid layers start
-    nearly flat and small training sets leave a constant predictor.
+    logistic units; at the plain limit the five sigmoid layers pass back
+    too little gradient, and small training sets leave a constant
+    predictor.
     """
     rng = np.random.default_rng(config.seed)
     sizes = [n_features, *config.hidden, 1]

@@ -434,7 +434,7 @@ def _load_manifest(p: Paths) -> dict:
         manifest = _read_json(p.manifest)
     except ValueError:  # not JSON, or not UTF-8
         manifest = None
-    if not isinstance(manifest, dict) or "stages" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         raise StageError("manifest.json is corrupt; remove it and rerun ingest")
     if manifest.get("schema_version") != 1:
         raise StageError(

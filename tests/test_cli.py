@@ -123,8 +123,10 @@ def test_stage_dependency_error_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ['{"schema_version": 1, "stag', '{"schema_version": 1}', "[]"],
-    ids=["truncated", "no-stages", "list"],
+    "text",
+    ['{"schema_version": 1, "stag', '{"schema_version": 1}', "[]",
+     '{"schema_version": 1, "stages": []}'],
+    ids=["truncated", "no-stages", "list", "stages-list"],
 )
 def test_corrupt_manifest_exits_4(tmp_path, capsys, text):
     wd = tmp_path / "wd"

@@ -34,6 +34,7 @@ ALL = RfParams(max_features="all", min_samples_split=2, min_samples_leaf=1,
         ([0, 0, 0, 0], [1, 1], 0.0),  # two pure children
         ([0, 1], [1, 1, 1, 0], (2 * 0.5 + 4 * 0.375) / 6),  # Gini 0.5 and 0.375
     ],
+    ids=["pure", "mixed"],
 )
 def test_best_split_weighs_child_gini_impurities(left, right, impurity):
     # one feature with two values, so the only cut separates `left` from `right`
