@@ -279,16 +279,10 @@ def _analyze_post(post: PostRow, stop_list, keywords) -> PostText:
     )
 
 
-def analyze_records(
-    records: list[QARecord],
-    stop_list: frozenset[str] | None = None,
-    keywords: frozenset[str] | None = None,
-) -> list[AnalyzedRecord]:
+def analyze_records(records: list[QARecord]) -> list[AnalyzedRecord]:
     """Analyze every post once, in (question id, answer id) order."""
-    if stop_list is None:
-        stop_list = load_stopwords()
-    if keywords is None:
-        keywords = load_keywords()
+    stop_list = load_stopwords()
+    keywords = load_keywords()
     analyzed = []
     for rec in sorted(records, key=lambda r: r.question.id):
         answers = sorted(rec.answers, key=lambda e: e.post.id)
@@ -312,23 +306,15 @@ def build_pair_corpus(analyzed: list[AnalyzedRecord]) -> list[list[str]]:
     ]
 
 
-def extract_matrix(
-    analyzed: list[AnalyzedRecord],
-    tfidf_model: TfIdfModel,
-    stop_list: frozenset[str] | None = None,
-    lexicon: dict[str, float] | None = None,
-) -> FeatureMatrix:
+def extract_matrix(analyzed: list[AnalyzedRecord], tfidf_model: TfIdfModel) -> FeatureMatrix:
     """One feature row per answer, ordered by (question id, answer id).
 
     `tfidf_model` is fitted over the run's pair corpus, or loaded from
     an earlier run to score new candidates.  Answers that predate their
     question (clock anomaly) are dropped and counted in stats.
     """
-    if stop_list is None:
-        stop_list = load_stopwords()
-    if lexicon is None:
-        lexicon = load_polarity_lexicon()
-
+    stop_list = load_stopwords()
+    lexicon = load_polarity_lexicon()
     rows = []
     labels = []
     qids = []

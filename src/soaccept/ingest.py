@@ -114,11 +114,11 @@ class IngestFilter:
             raise ValueError("year_range start > end")
 
 
-def stream_rows(source, chunk_size: int = 1 << 16) -> Iterator[dict]:
+def stream_rows(source) -> Iterator[dict]:
     """Yield one attribute map per `<row .../>` element, in document order.
 
-    `source` is a binary file-like object read in chunks; memory stays
-    bounded by one chunk plus one row.  Non-row elements are skipped.
+    `source` is a binary file-like object read in 64 KiB chunks; memory
+    stays bounded by one chunk plus one row.  Non-row elements are skipped.
     Malformed or truncated XML raises ParseError carrying the byte offset
     of the error and of the last complete row.
     """
@@ -138,7 +138,7 @@ def stream_rows(source, chunk_size: int = 1 << 16) -> Iterator[dict]:
     parser.EndElementHandler = handle_end
 
     while True:
-        chunk = source.read(chunk_size)
+        chunk = source.read(1 << 16)
         try:
             parser.Parse(chunk, not chunk)
         except xml.parsers.expat.ExpatError as exc:

@@ -173,8 +173,9 @@ class ModelEval:
         return mcc(self.cm)
 
 
-def evaluate_model(model: str, sampler: str, y_true, scores, threshold: float = 0.5):
-    y_pred = (np.asarray(scores, dtype=np.float64) >= threshold).astype(np.int64)
+def evaluate_model(model: str, sampler: str, y_true, scores):
+    """Confusion counts at a 0.5 cut-off, and the ROC curve."""
+    y_pred = (np.asarray(scores, dtype=np.float64) >= 0.5).astype(np.int64)
     return ModelEval(
         model=model,
         sampler=sampler,

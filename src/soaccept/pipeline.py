@@ -26,8 +26,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,7 @@ from .metrics import EvalReport, emit_report, evaluate_model
 from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
 from .resample import ResamplePlan, Scaler, apply_plan, standardize
 from .seeding import derive_seed
-from .selection import select_features, write_selection_report
+from .selection import select_features, selection_report
 
 
 class ConfigError(Exception):
@@ -94,6 +95,18 @@ class StageError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 
+def _defaults(cls, **pipeline_defaults) -> dict:
+    """A stage class's defaults as a settings section: every field but
+    `seed`, tuples as lists, then the values where the pipeline's default
+    differs from the class's."""
+    section = {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(cls)
+        if f.name != "seed"
+    }
+    return {**section, **pipeline_defaults}
+
+
 DEFAULT_CONFIG = {
     "posts": None,
     "users": None,
@@ -105,33 +118,11 @@ DEFAULT_CONFIG = {
         "years": [2014, 2016],
     },
     "selection": {"r_threshold": 0.7, "ig_threshold": 0.4, "mi_k": 3},
-    "split": {"train_fraction": 0.7},
-    "resample": {"method": "smote", "k": 5, "target_ratio": 1.0, "beta": 1.0},
-    "forest": {
-        "n_estimators": 200,
-        "max_depth": 60,
-        "min_samples_split": 8,
-        "min_samples_leaf": 3,
-        "max_features": "sqrt",
-        "bootstrap": True,
-    },
-    "mlp": {
-        "hidden": [64, 64, 32, 32, 16],
-        "learning_rate": 0.01,
-        "batch_size": 32,
-        "epochs": 50,
-    },
-    "search": {
-        "enabled": False,
-        "n_iterations": 100,
-        "cv_folds": 4,
-        "n_estimators": list(range(100, 1300, 100)),
-        "max_depth": [10, 21, 32, 43, 54, 65, 76, 87, 98, 110],
-        "min_samples_split": [2, 3, 5, 8, 10],
-        "min_samples_leaf": [1, 2, 3, 5],
-        "max_features": ["sqrt"],
-        "bootstrap": [True],
-    },
+    "split": _defaults(SplitSpec),
+    "resample": _defaults(ResamplePlan, method="smote"),
+    "forest": _defaults(RfParams),
+    "mlp": _defaults(MlpConfig),
+    "search": _defaults(SearchSpace, enabled=False),
     "evaluate": {"importance_rounds": 5},
 }
 
@@ -140,12 +131,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    # finite only: json also reads NaN, Infinity and integers past a
+    # float's range, which no setting means
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # the type rule: what a setting accepts, by the type of its default
 _TYPE_RULE = {
     type(None): (lambda v: v is None or isinstance(v, str), "a path string or null"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (_is_int, "an integer"),
-    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    float: (_is_number, "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
 # the one union, a name or a count; RfParams checks which names and counts
@@ -235,6 +235,8 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if len(cfg.settings["filter"]["years"]) != 2:
             raise ConfigError("filter.years must be [first, last]")
+        if cfg.settings["selection"]["mi_k"] < 1:
+            raise ConfigError("selection: mi_k must be >= 1")
         if cfg.settings["evaluate"]["importance_rounds"] < 1:
             raise ConfigError("evaluate.importance_rounds must be >= 1")
         # building every stage object up front surfaces bad values at load
@@ -592,16 +594,15 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
         )
     except ValueError as exc:
         raise DataError(f"feature selection failed: {exc}") from exc
-    write_selection_report(
-        p.selection, result, corr, ig, d["r_threshold"], d["ig_threshold"]
-    )
+    report = selection_report(result, corr, ig, d["r_threshold"], d["ig_threshold"])
+    _write_json(p.selection, report)
     _record_stage(
         cfg,
         "select",
         inputs={"features.csv": p.features_csv},
         outputs=[p.selection],
     )
-    return _read_json(p.selection)
+    return report
 
 
 def _retained_columns(matrix, selection: dict):

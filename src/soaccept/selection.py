@@ -9,7 +9,6 @@ remains must clear an IG floor.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -266,15 +265,15 @@ def select_features(
     return result, corr, ig
 
 
-def write_selection_report(
-    path,
+def selection_report(
     result: SelectionResult,
     corr: CorrelationMatrix,
     ig: dict[str, float],
     r_threshold: float,
     ig_threshold: float,
-) -> None:
-    report = {
+) -> dict:
+    """The selection.json payload: thresholds, statistics and outcome."""
+    return {
         "thresholds": {"correlation": r_threshold, "info_gain": ig_threshold},
         "info_gain_bits": {name: ig[name] for name in corr.names},
         "correlation": {
@@ -285,6 +284,3 @@ def write_selection_report(
         "retained": result.retained,
         "dropped": [{"feature": f, "reason": r} for f, r in result.dropped],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

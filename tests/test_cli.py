@@ -54,12 +54,16 @@ def test_config_error_exits_2(tmp_path):
         "forest.max_features=2.0",
         "search.n_iterations=1.5",
         "mlp.hidden=64,64,32,32,16.5",
+        "selection.r_threshold=NaN",
+        "mlp.learning_rate=Infinity",
+        pytest.param("split.train_fraction=" + "9" * 400, id="split.train_fraction=<400 digits>"),
     ],
 )
 def test_mistyped_setting_exits_2(tmp_path, capsys, setting):
     code = run_cli("run", *common(tmp_path), "--set", setting)
     assert code == 2
     assert setting.partition("=")[0] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # rejected before any stage ran
 
 
 @pytest.mark.parametrize(
@@ -71,6 +75,8 @@ def test_mistyped_setting_exits_2(tmp_path, capsys, setting):
         ["search.enabled=true", "search.max_features=auto"],
         ["mlp.hidden=64,64,32,32,0"],
         ["split.train_fraction=1.5"],
+        ["selection.mi_k=0"],
+        ["selection.mi_k=-1"],
     ],
     ids=" ".join,
 )
@@ -79,6 +85,7 @@ def test_out_of_range_setting_names_its_section(tmp_path, capsys, settings):
     assert run_cli("run", *common(tmp_path), *sets) == 2
     section = settings[0].partition(".")[0]
     assert capsys.readouterr().err.startswith(f"error: {section}: ")
+    assert not any(tmp_path.iterdir())  # rejected before any stage ran
 
 
 def test_removed_require_accepted_key_exits_2(tmp_path, capsys):

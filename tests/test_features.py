@@ -29,9 +29,8 @@ from soaccept.features import (
     write_features_csv,
 )
 from soaccept.ingest import AnswerEntry, PostRow, QARecord, UserRow, parse_timestamp
-from soaccept.textprep import load_stopwords, raw_tokens
+from soaccept.textprep import raw_tokens
 
-STOP = load_stopwords()
 LEXICON = load_polarity_lexicon()
 KEYWORDS = load_keywords()
 
@@ -223,8 +222,8 @@ def _record(qid=1, n_answers=2, accepted_index=0, q_body="<p>How do I sort an ar
 
 
 def extract(records):
-    analyzed = analyze_records(records, STOP, KEYWORDS)
-    return extract_matrix(analyzed, fit_tfidf(build_pair_corpus(analyzed)), STOP, LEXICON)
+    analyzed = analyze_records(records)
+    return extract_matrix(analyzed, fit_tfidf(build_pair_corpus(analyzed)))
 
 
 def answer_row(body):
@@ -269,7 +268,7 @@ def test_extract_matrix_shape_and_labels():
 
 
 def test_extract_matrix_empty():
-    m = extract_matrix([], fit_tfidf([["cat"]]), STOP, LEXICON)
+    m = extract_matrix([], fit_tfidf([["cat"]]))
     assert m.x.shape == (0, 16)
 
 
@@ -382,13 +381,13 @@ def test_extract_matrix_accepts_prefit_model():
         _echo_record(2, "shrink images", "Shrink images from the edges.",
                      "Buy more disk space."),
     ]
-    analyzed = analyze_records(records, STOP, KEYWORDS)
+    analyzed = analyze_records(records)
     corpus = build_pair_corpus(analyzed)
     assert len(corpus) == 4
-    fresh = extract_matrix(analyzed, fit_tfidf(corpus), STOP, LEXICON)
+    fresh = extract_matrix(analyzed, fit_tfidf(corpus))
     # a model from a different corpus shifts the similarity columns only
     other = fit_tfidf([["unrelated", "terms"]])
-    shifted = extract_matrix(analyzed, other, STOP, LEXICON)
+    shifted = extract_matrix(analyzed, other)
     text_col = FEATURE_NAMES.index("TFAnswerText")
     keep = [i for i in range(16) if i != text_col]
     assert np.array_equal(fresh.x[:, keep], shifted.x[:, keep])

@@ -236,6 +236,12 @@ def test_rerunning_one_stage_is_byte_stable(run_dir, tmp_path):
     assert (wd / "manifest.json").read_bytes() == (run_dir / "manifest.json").read_bytes()
 
 
+def test_select_returns_the_report_it_wrote(run_dir, tmp_path):
+    wd = copy_workdir(run_dir, tmp_path)
+    report = cmd_select(make_config(wd))
+    assert report == json.loads((wd / "selection.json").read_text("utf-8"))
+
+
 def _files(root: Path) -> dict:
     return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
             if f.is_file()}

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from soaccept.selection import (
     pearson_matrix,
     select_features,
     select_from_stats,
-    write_selection_report,
+    selection_report,
 )
 
 RNG = np.random.default_rng(7)
@@ -321,13 +320,11 @@ def test_select_features_end_to_end_drops_duplicate_column():
     assert ("noise", "low-ig") in result.dropped
 
 
-def test_selection_report_file(tmp_path):
+def test_selection_report_file():
     ig, corr_m = _published_stats()
     corr = CorrelationMatrix(names=FEATURE_NAMES, r=corr_m)
     result = select_from_stats(FEATURE_NAMES, corr_m, ig, 0.7, 0.4)
-    path = tmp_path / "selection_report.json"
-    write_selection_report(path, result, corr, ig, 0.7, 0.4)
-    report = json.loads(path.read_text())
+    report = selection_report(result, corr, ig, 0.7, 0.4)
     assert report["retained"] == result.retained
     assert report["thresholds"] == {"correlation": 0.7, "info_gain": 0.4}
     assert report["info_gain_bits"]["Timelag"] == pytest.approx(0.873)
