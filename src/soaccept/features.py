@@ -121,10 +121,11 @@ def tfidf_from_dict(payload: dict) -> TfIdfModel:
 
 
 def save_tfidf(model: TfIdfModel, path) -> None:
+    # dumps takes the C encoder, which dump with a file never does
+    text = json.dumps(tfidf_to_dict(model), sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tfidf_to_dict(model), fh, sort_keys=True,
-                  separators=(",", ":"), ensure_ascii=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_tfidf(path) -> TfIdfModel:
@@ -267,10 +268,11 @@ class AnalyzedRecord:
 
 def _analyze_post(post: PostRow, stop_list, keywords) -> PostText:
     parts = split_code_blocks(post.body)
+    words = raw_tokens(parts.prose_text)
     return PostText(
         parts=parts,
-        raw_tokens=raw_tokens(parts.prose_text),
-        prose_tokens=tokenize(parts.prose_text, stop_list),
+        raw_tokens=words,
+        prose_tokens=tokenize(parts.prose_text, stop_list, words=words),
         code_ids=[
             t.lower()
             for block in parts.code_blocks

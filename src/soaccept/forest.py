@@ -104,36 +104,36 @@ def _best_split(x, y, idx, feats, min_leaf):
     """Best (feature, threshold, weighted child impurity) over `feats`.
 
     Returns None when no cut satisfies the leaf-size constraint.  Ties
-    keep the lowest feature index, then the lowest threshold.
+    keep the lowest feature index, then the lowest threshold.  A cut
+    falls between two distinct sorted values, so the class-1 rows left
+    of it are those at or below the lower value, whatever the order
+    among equal values: a plain sort of the values and one of the
+    class-1 values give every count, with no argsort.
     """
     y_node = y[idx]
     total = idx.size
-    total1 = int(y_node.sum())
+    ones = y_node == 1
+    total1 = int(ones.sum())
     best = None  # (w, feature, threshold)
     for f in feats:
         vals = x[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y_node[order]
-        distinct = sv[1:] != sv[:-1]
-        if not distinct.any():
+        sv = np.sort(vals)
+        pos = (sv[1:] != sv[:-1]).nonzero()[0]  # cut after sorted position pos
+        # both children keep min_leaf rows: min_leaf - 1 <= pos < total - min_leaf
+        lo, hi = pos.searchsorted((min_leaf - 1, total - min_leaf))
+        if lo >= hi:
             continue
-        pos = np.nonzero(distinct)[0]  # cut after sorted position pos
+        pos = pos[lo:hi]
+        below = sv[pos]
         n_l = pos + 1
         n_r = total - n_l
-        ok = (n_l >= min_leaf) & (n_r >= min_leaf)
-        if not ok.any():
-            continue
-        pos = pos[ok]
-        n_l = n_l[ok]
-        n_r = n_r[ok]
-        ones_l = np.cumsum(sy)[pos]
+        ones_l = np.sort(vals[ones]).searchsorted(below, side="right")
         ones_r = total1 - ones_l
         g_l = 1.0 - (ones_l / n_l) ** 2 - ((n_l - ones_l) / n_l) ** 2
         g_r = 1.0 - (ones_r / n_r) ** 2 - ((n_r - ones_r) / n_r) ** 2
         w = (n_l * g_l + n_r * g_r) / total
-        j = int(np.argmin(w))  # first minimum = lowest threshold
-        thr = (sv[pos[j]] + sv[pos[j] + 1]) / 2.0
+        j = int(w.argmin())  # first minimum = lowest threshold
+        thr = (below[j] + sv[pos[j] + 1]) / 2.0
         if best is None or w[j] < best[0]:
             best = (float(w[j]), int(f), float(thr))
     return best
@@ -154,6 +154,9 @@ def fit_tree(x, y, params: RfParams, rng=None):
         raise ForestError("x must be 2-d with one label per row")
     if x.shape[0] == 0:
         raise ForestError("cannot fit a tree on zero rows")
+    if np.isnan(x).any():
+        # NaN has no place in the sorted order the split search counts on
+        raise ForestError("x must not contain NaN")
     n, d = x.shape
     if rng is None:
         rng = np.random.default_rng(0)
@@ -365,9 +368,10 @@ def forest_from_dict(payload: dict) -> ForestModel:
 
 
 def save_forest(model: ForestModel, path) -> None:
+    # dumps takes the C encoder, which dump with a file never does
+    text = json.dumps(forest_to_dict(model), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(forest_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_forest(path) -> ForestModel:

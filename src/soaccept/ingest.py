@@ -8,13 +8,12 @@ persisted as newline-delimited JSON (`dataset.jsonl`, schema v1).
 
 from __future__ import annotations
 
-import calendar
 import json
 import re
 import xml.parsers.expat
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
 DATASET_SCHEMA_VERSION = 1
@@ -44,6 +43,10 @@ class SchemaVersionError(Exception):
     pass
 
 
+_EPOCH = datetime(1970, 1, 1)
+_MILLISECOND = timedelta(milliseconds=1)
+
+
 def parse_timestamp(text: str) -> int:
     """Dump timestamp (naive = UTC, optional 'Z'/'+00:00') to epoch milliseconds."""
     s = text.strip()
@@ -55,7 +58,7 @@ def parse_timestamp(text: str) -> int:
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
     # integer arithmetic: float epoch seconds lose sub-ms precision at this scale
-    return calendar.timegm(dt.timetuple()) * 1000 + dt.microsecond // 1000
+    return (dt - _EPOCH) // _MILLISECOND
 
 
 def format_timestamp(ms: int) -> str:

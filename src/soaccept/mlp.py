@@ -72,30 +72,47 @@ class MlpModel:
     loss_history: tuple = ()
 
 
+def _exp_neg_abs(z):
+    """exp(-|z|), which lies in [0, 1] and so never overflows."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _logistic(z, e):
+    """The logistic of `z` from `e = _exp_neg_abs(z)`, which it overwrites:
+    1 / (1 + e) for z >= 0 and e / (1 + e) below."""
+    # numerator: 1 where z >= 0, else e; e <= 1, and NaN passes through
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
+    return out
+
+
 def _sigmoid(z):
-    """Logistic function that never overflows: with e = exp(-|z|), it is
-    1 / (1 + e) for z >= 0 and e / (1 + e) below, in a single pass.
+    """Logistic function that never overflows, in a single pass.
 
     Bit-identical to evaluating 1 / (1 + exp(-z)) on z >= 0 and
     exp(z) / (1 + exp(z)) on z < 0 separately, since -|z| is exactly -z
     or z on those halves.
     """
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
-    np.add(e, 1.0, out=e)
-    np.divide(out, e, out=out)
-    return out
+    return _logistic(z, _exp_neg_abs(z))
+
+
+def _bce(z, y, e) -> float:
+    """Mean of softplus(z) - y*z over every entry, from `e = _exp_neg_abs(z)`;
+    softplus(z) = max(z, 0) + log1p(e) cannot overflow."""
+    loss = np.log1p(e)
+    loss += np.maximum(z, 0.0)
+    loss -= y * z
+    return float(np.add.reduce(loss, axis=None) / loss.size)
 
 
 def bce_loss(z_out, y) -> float:
     """Mean binary cross-entropy from output pre-activations."""
     z = np.asarray(z_out, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
-    # softplus(z) - y*z, with softplus written to avoid exp overflow
-    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    return float(np.mean(softplus - y * z))
+    return _bce(z, y, _exp_neg_abs(z))
 
 
 def _forward(weights, biases, x):
@@ -103,9 +120,12 @@ def _forward(weights, biases, x):
     activations = [x]
     a = x
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = _sigmoid(a @ w.T + b)
+        z = a @ w.T
+        z += b
+        a = _sigmoid(z)
         activations.append(a)
-    z_out = a @ weights[-1].T + biases[-1]
+    z_out = a @ weights[-1].T
+    z_out += biases[-1]
     return activations, z_out
 
 
@@ -115,16 +135,23 @@ def loss_and_gradients(weights, biases, x, y):
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     n = x.shape[0]
     activations, z_out = _forward(weights, biases, x)
-    loss = bce_loss(z_out, y)
+    # the loss and the output's logistic share one exp(-|z_out|)
+    e = _exp_neg_abs(z_out)
+    loss = _bce(z_out, y, e)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
-    delta = (_sigmoid(z_out) - y) / n
+    delta = _logistic(z_out, e)
+    delta -= y
+    delta /= n
     for layer in range(len(weights) - 1, -1, -1):
         grads_w[layer] = delta.T @ activations[layer]
-        grads_b[layer] = delta.sum(axis=0)
+        grads_b[layer] = np.add.reduce(delta, axis=0)
         if layer > 0:
+            # in place, in the order of (delta @ W) * a * (1 - a)
             a = activations[layer]
-            delta = (delta @ weights[layer]) * a * (1.0 - a)
+            delta = delta @ weights[layer]
+            delta *= a
+            delta *= 1.0 - a
     return loss, grads_w, grads_b
 
 
@@ -166,7 +193,16 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
     if not np.isin(np.unique(y), (0, 1)).all():
         raise MlpError("labels must be 0/1")
     n, d = x.shape
+    y = y.astype(np.float64)
     weights, biases = init_parameters(d, config)
+    # every weight and bias is a view into one buffer, so a step is one
+    # subtraction; (lr * g) is rounded the same way whatever its layout
+    params = np.concatenate([p.ravel() for p in weights + biases])
+    views, start = [], 0
+    for p in weights + biases:
+        views.append(params[start : start + p.size].reshape(p.shape))
+        start += p.size
+    weights, biases = views[: len(weights)], views[len(weights) :]
     # separate stream for the shuffles so init and SGD do not interleave
     rng = np.random.default_rng(derive_seed(config.seed, "sgd"))
     history = []
@@ -174,19 +210,20 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
     # below, so the intermediate numpy warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
+            # one permutation per epoch; each batch is a slice of it
             order = rng.permutation(n)
+            x_epoch, y_epoch = x[order], y[order]
             loss_sum = 0.0
             for start in range(0, n, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                loss, gw, gb = loss_and_gradients(weights, biases, x[batch], y[batch])
-                loss_sum += loss * len(batch)
-                for layer in range(len(weights)):
-                    weights[layer] -= config.learning_rate * gw[layer]
-                    biases[layer] -= config.learning_rate * gb[layer]
+                stop = start + config.batch_size
+                x_batch, y_batch = x_epoch[start:stop], y_epoch[start:stop]
+                loss, gw, gb = loss_and_gradients(weights, biases, x_batch, y_batch)
+                loss_sum += loss * len(y_batch)
+                step = np.concatenate([g.ravel() for g in gw + gb])
+                step *= config.learning_rate
+                params -= step
             epoch_loss = loss_sum / n
-            if not np.isfinite(epoch_loss) or not all(
-                np.isfinite(p).all() for p in weights + biases
-            ):
+            if not np.isfinite(epoch_loss) or not np.isfinite(params).all():
                 raise DivergenceError(epoch)
             history.append(epoch_loss)
     return MlpModel(
@@ -234,9 +271,10 @@ def mlp_from_dict(payload: dict) -> MlpModel:
 
 
 def save_mlp(model: MlpModel, path) -> None:
+    # dumps takes the C encoder, which dump with a file never does
+    text = json.dumps(mlp_to_dict(model), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mlp_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_mlp(path) -> MlpModel:

@@ -43,6 +43,56 @@ def test_best_split_weighs_child_gini_impurities(left, right, impurity):
     assert _best_split(x, y, np.arange(y.size), [0], 1) == (impurity, 0, 0.5)
 
 
+def _argsort_best_split(x, y, idx, feats, min_leaf):
+    """The split search written with a stable argsort and a running label
+    count, which the sort-based one must reproduce bit for bit."""
+    y_node = y[idx]
+    total, total1 = idx.size, int(y_node.sum())
+    best = None
+    for f in feats:
+        vals = x[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv, sy = vals[order], y_node[order]
+        n_l = np.arange(1, total)
+        ok = (sv[1:] != sv[:-1]) & (n_l >= min_leaf) & (total - n_l >= min_leaf)
+        if not ok.any():
+            continue
+        pos = np.nonzero(ok)[0]
+        n_l, n_r = pos + 1, total - pos - 1
+        ones_l = np.cumsum(sy)[pos]
+        ones_r = total1 - ones_l
+        g_l = 1.0 - (ones_l / n_l) ** 2 - ((n_l - ones_l) / n_l) ** 2
+        g_r = 1.0 - (ones_r / n_r) ** 2 - ((n_r - ones_r) / n_r) ** 2
+        w = (n_l * g_l + n_r * g_r) / total
+        j = int(np.argmin(w))
+        if best is None or w[j] < best[0]:
+            best = (float(w[j]), int(f), float((sv[pos[j]] + sv[pos[j] + 1]) / 2.0))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_best_split_matches_argsort_reference(seed):
+    # few distinct values, so most cuts sit between runs of ties
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 120)), int(rng.integers(1, 5))
+    x = np.round(rng.standard_normal((n, d)) * 2, int(rng.integers(0, 2)))
+    x[rng.random((n, d)) < 0.05] = np.inf
+    y = (rng.random(n) < rng.random()).astype(np.int8)
+    idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    min_leaf = int(rng.integers(1, 6))
+    feats = np.arange(d)
+    assert _best_split(x, y, idx, feats, min_leaf) == _argsort_best_split(x, y, idx, feats,
+                                                                          min_leaf)
+
+
+def test_nan_features_are_rejected():
+    x = np.array([[0.0], [np.nan], [1.0], [2.0]])
+    with pytest.raises(ForestError, match="NaN"):
+        fit_tree(x, np.array([0, 1, 0, 1]), ALL)
+    with pytest.raises(ForestError, match="NaN"):
+        fit_forest(x, np.array([0, 1, 0, 1]), RfParams(n_estimators=2))
+
+
 def test_params_validation():
     with pytest.raises(ForestError):
         RfParams(n_estimators=0)

@@ -1,7 +1,9 @@
+import calendar
 import io
 import json
 import random
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,48 @@ def test_parse_tags_formats():
     assert parse_tags("|java|arrays|") == ["java", "arrays"]
     assert parse_tags("") == []
     assert parse_tags("<JavaScript>") == ["javascript"]
+
+
+def _timegm_millis(text):
+    """The calendar-based formula `parse_timestamp` must reproduce."""
+    s = text.strip()
+    if s.endswith("Z"):
+        s = s[:-1]
+    elif s.endswith("+00:00"):
+        s = s[:-6]
+    dt = datetime.fromisoformat(s)
+    if dt.tzinfo is not None:
+        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return calendar.timegm(dt.timetuple()) * 1000 + dt.microsecond // 1000
+
+
+@pytest.mark.parametrize("text", [
+    "1969-12-31T23:59:59.999",
+    "1969-12-31T23:59:59.9995",
+    "1960-06-15T10:10:10.001",
+    "1900-01-01T00:00:00.500",
+    "2012-02-29T23:59:59.999",
+    "2016-02-29T00:00:00",
+    "2014-03-01T10:00:00.123Z",
+    "2014-03-01T10:00:00.123+00:00",
+    "2014-03-01T10:00:00.123+02:00",
+    "1970-01-01T01:00:00.000001+02:00",
+    "2014-03-01T10:00:00.123456",
+    "2014-03-01T10:00:00.999999",
+    "0001-01-01T00:00:00",
+    "0001-01-01T00:00:00.000999",
+    " 2008-07-31T21:42:52.667 ",
+])
+def test_timestamp_matches_calendar_formula(text):
+    assert parse_timestamp(text) == _timegm_millis(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31)),
+       st.sampled_from(["", "Z", "+00:00", "+02:00", "-05:30"]))
+def test_timestamp_matches_calendar_formula_anywhere(dt, suffix):
+    text = dt.isoformat() + suffix
+    assert parse_timestamp(text) == _timegm_millis(text)
 
 
 def test_timestamp_round_trip_millisecond_exact():

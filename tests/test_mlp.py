@@ -89,6 +89,13 @@ def test_sigmoid_is_bit_identical_at_edge_values():
     assert got[2] == 1.0 and got[3] == 0.0
 
 
+def test_sigmoid_passes_nan_through():
+    z = np.array([[np.nan, 0.0], [-3.0, -np.nan], [np.inf, np.nan]])
+    got = _sigmoid(z)
+    assert np.array_equal(np.isnan(got), np.isnan(z))
+    assert np.array_equal(got[~np.isnan(z)], _masked_sigmoid(z[~np.isnan(z)]))
+
+
 def test_bce_loss_matches_direct_formula():
     z = np.array([0.0, 2.0, -1.5])
     y = np.array([1.0, 0.0, 1.0])
@@ -110,6 +117,41 @@ def test_gradients_match_central_differences():
     _, gw, gb = loss_and_gradients(weights, biases, x, y)
     nw, nb = numeric_gradients(weights, biases, x, y)
     assert max_relative_error(gw, gb, nw, nb) < 1e-4
+
+
+def _out_of_place_loss_and_gradients(weights, biases, x, y):
+    """Loss and backward pass written with fresh arrays, in the operation
+    order the in-place ones must keep."""
+    y = y.reshape(-1, 1)
+    activations = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        activations.append(_masked_sigmoid(activations[-1] @ w.T + b))
+    z_out = activations[-1] @ weights[-1].T + biases[-1]
+    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+    delta = (_masked_sigmoid(z_out) - y) / x.shape[0]
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = delta.T @ activations[layer]
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            a = activations[layer]
+            delta = (delta @ weights[layer]) * a * (1.0 - a)
+    z, y = z_out.ravel(), y.ravel()
+    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
+    return loss, grads_w, grads_b
+
+
+@pytest.mark.parametrize("n, d", [(32, 3), (7, 5), (1, 2)])
+def test_gradients_are_bit_identical_to_out_of_place_formula(n, d):
+    rng = np.random.default_rng(n + d)
+    x = rng.standard_normal((n, d))
+    y = (rng.random(n) < 0.5).astype(float)
+    weights, biases = init_parameters(d, MlpConfig(seed=n))
+    biases = [rng.standard_normal(b.shape) for b in biases]
+    loss, gw, gb = loss_and_gradients(weights, biases, x, y)
+    want_loss, want_w, want_b = _out_of_place_loss_and_gradients(weights, biases, x, y)
+    assert loss == want_loss
+    for got, want in zip(gw + gb, want_w + want_b):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_learns_separable_blobs():

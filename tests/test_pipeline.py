@@ -260,6 +260,19 @@ def test_thread_count_does_not_change_models(run_dir, tmp_path):
     assert _files(wd / "models/smote") == _files(run_dir / "models/smote")
 
 
+@pytest.mark.parametrize("n_trees", [1, 7, 23])
+def test_tree_blocks_do_not_change_models(run_dir, tmp_path, n_trees):
+    # tree counts that the block size leaves a remainder of; one tree
+    # also leaves a worker an empty block
+    wd = copy_workdir(run_dir, tmp_path)
+    written = []
+    for threads in (1, 2):
+        cmd_train(make_config(wd, threads=threads, **{"forest.n_estimators": n_trees,
+                                                      "mlp.epochs": 2}))
+        written.append(_files(wd / "models" / "smote"))
+    assert written[0] == written[1]
+
+
 def test_worker_count_is_capped_by_tasks_and_cpus():
     cpus = len(os.sched_getaffinity(0))
     assert pipeline._worker_count(1, 201) == 1
