@@ -60,9 +60,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        help="worker processes for the train stage (at most the CPU count): a free"
-        " worker takes the next small block of trees, and the network's worker"
-        " joins them once the network is done",
+        help="worker processes for the train stage, which fits the network beside"
+        " the forest's trees (at most the CPU count)",
     )
     p.add_argument("--out", metavar="DIR", help="work directory (default: workdir)")
     p.add_argument("--posts", metavar="FILE", help="posts XML dump")

@@ -268,11 +268,10 @@ class AnalyzedRecord:
 
 def _analyze_post(post: PostRow, stop_list, keywords) -> PostText:
     parts = split_code_blocks(post.body)
-    words = raw_tokens(parts.prose_text)
     return PostText(
         parts=parts,
-        raw_tokens=words,
-        prose_tokens=tokenize(parts.prose_text, stop_list, words=words),
+        raw_tokens=raw_tokens(parts.prose_text),
+        prose_tokens=tokenize(parts.prose_text, stop_list),
         code_ids=[
             t.lower()
             for block in parts.code_blocks

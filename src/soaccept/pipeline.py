@@ -616,14 +616,6 @@ def _retained_columns(matrix, selection: dict):
     return retained, cols
 
 
-# Trees per pool task in the train stage.  Small blocks let a worker that
-# is done with the network, or with a fast block, take the next trees.
-# Each task costs the parent about 0.3 ms of pool overhead, taken from the
-# same CPUs as the fits, so one tree per task would spend more than the
-# finer balance saves.
-TREES_PER_TASK = 4
-
-
 def _worker_count(threads: int, tasks: int) -> int:
     """Processes to fit in: `threads`, capped by the task count and the
     CPUs this process may run on; 1 where the platform cannot fork."""
@@ -646,16 +638,13 @@ def _fit_models(x, z, y, params: RfParams, config: MlpConfig, threads: int):
     """The forest on `x` and the network on its standardized copy `z`.
 
     With more than one worker the fits share one pool of forked
-    processes: the network goes in first, as one task, and the trees
-    follow as blocks of at most `TREES_PER_TASK` consecutive indices.  A
-    free worker takes the next block, so the network's worker grows
-    trees once the network is done and no worker idles while trees are
-    left.  The trees are joined in index order as their blocks finish.
-    Fork starts workers without re-importing anything, which spawn would
-    pay for on every run; it needs a caller with no other threads
-    running, as the command line is.  The pool modules are imported here
-    so that loading the package, and so every `rank` call, does not pay
-    for them.
+    processes: the network goes in first, as one task, and contiguous
+    blocks of tree indices follow as the others.  The trees are joined
+    in index order as their blocks finish.  Fork starts workers without
+    re-importing anything, which spawn would pay for on every run; it
+    needs a caller with no other threads running, as the command line
+    is.  The pool modules are imported here so that loading the package,
+    and so every `rank` call, does not pay for them.
     """
     workers = _worker_count(threads, 1 + params.n_estimators)
     if workers == 1:
@@ -666,10 +655,9 @@ def _fit_models(x, z, y, params: RfParams, config: MlpConfig, threads: int):
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         network = pool.submit(_fit_network, z, y, config)
-        n_blocks = max(workers, math.ceil(params.n_estimators / TREES_PER_TASK))
         blocks = [
             pool.submit(fit_trees, x, y, params, block.tolist())
-            for block in np.array_split(np.arange(params.n_estimators), n_blocks)
+            for block in np.array_split(np.arange(params.n_estimators), workers)
         ]
         fitted = (pair for block in blocks for pair in block.result())
         return fit_forest(x, y, params, fitted), network.result()

@@ -72,17 +72,14 @@ def stem_tokens(tokens: list[str]) -> list[str]:
     return [porter_stem(t) if t.isascii() and t.isalpha() else t for t in tokens]
 
 
-def tokenize(text: str, stop_list: frozenset[str], *, words: list[str] | None = None) -> list[str]:
+def tokenize(text: str, stop_list: frozenset[str]) -> list[str]:
     """Full normalization: boundaries, stop-word removal, stemming.
 
-    `words` is `raw_tokens(text)` when the caller already has it.
     Stemming can itself produce a stop word ("willing" stems to "will"),
     so the stop filter runs again afterwards; no output token may be on
     the stop list.
     """
-    if words is None:
-        words = raw_tokens(text)
-    stems = stem_tokens(remove_stop_words(words, stop_list))
+    stems = stem_tokens(remove_stop_words(raw_tokens(text), stop_list))
     return remove_stop_words(stems, stop_list)
 
 

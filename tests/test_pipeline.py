@@ -262,7 +262,7 @@ def test_thread_count_does_not_change_models(run_dir, tmp_path):
 
 @pytest.mark.parametrize("n_trees", [1, 7, 23])
 def test_tree_blocks_do_not_change_models(run_dir, tmp_path, n_trees):
-    # tree counts that the block size leaves a remainder of; one tree
+    # tree counts that do not split evenly between two workers; one tree
     # also leaves a worker an empty block
     wd = copy_workdir(run_dir, tmp_path)
     written = []

@@ -93,7 +93,6 @@ def test_tokenize_output_never_contains_stop_words():
 
 @given(st.text(max_size=120))
 def test_tokenize_invariants_on_arbitrary_text(text):
-    assert tokenize(text, STOP, words=raw_tokens(text)) == tokenize(text, STOP)
     for tok in tokenize(text, STOP):
         assert tok
         assert tok not in STOP
