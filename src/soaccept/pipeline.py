@@ -11,8 +11,8 @@ Work directory layout::
 
     dataset.jsonl            retained question/answer records
     ingest_report.json       retention and discard counts
-    features.csv             one feature row per answer
-    feature_stats.json       extraction counters
+    features.csv             one feature row per kept answer, plus its label
+    feature_stats.json       row/question/accepted counts, extraction counters
     tfidf.json               corpus term frequencies (reused by rank)
     selection.json           correlation/info-gain pruning report
     models/<sampler>/        model.rf.json, model.mlp.json, scaler.json,
@@ -321,7 +321,7 @@ def load_config(
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
@@ -409,15 +409,21 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-# each stage in run order: its first artifact, named in dependency
-# errors, and the top-level settings its config digest covers; extraction
-# has no tunables, so the features stage's freshness rides on dataset.jsonl
+# each stage in run order: its first artifact, named in dependency errors;
+# the top-level settings its config digest covers (extraction has none, so
+# the features stage's freshness rides on dataset.jsonl); and the files it
+# reads, which its manifest entry records with the digests checked before
+# the read: ingest's dump settings, then work-directory paths, `{}` for
+# the sampler
 _STAGES = {
-    "ingest": ("dataset.jsonl", ("filter",)),
-    "features": ("features.csv", ()),
-    "select": ("selection.json", ("selection",)),
-    "train": ("trained models", ("seed", "split", "resample", "forest", "mlp", "search")),
-    "evaluate": ("evaluation report", ("seed", "evaluate")),
+    "ingest": ("dataset.jsonl", ("filter",), ("posts", "users")),
+    "features": ("features.csv", (), ("dataset.jsonl",)),
+    "select": ("selection.json", ("selection",), ("features.csv",)),
+    "train": ("trained models", ("seed", "split", "resample", "forest", "mlp", "search"),
+              ("features.csv", "selection.json")),
+    "evaluate": ("evaluation report", ("seed", "evaluate"),
+                 ("features.csv", "selection.json", "models/{}/model.rf.json",
+                  "models/{}/model.mlp.json", "models/{}/scaler.json", "models/{}/split.json")),
 }
 
 
@@ -446,22 +452,25 @@ def _load_manifest(p: Paths) -> dict:
 
 
 def _record_stage(cfg: RunConfig, stage: str, inputs: dict, outputs) -> None:
+    """Record `stage` in the manifest: `inputs` maps each label it read to
+    the digest checked before the read; only the outputs are hashed here."""
     p = paths_for(cfg)
     manifest = _load_manifest(p)
     manifest["stages"][stage] = {
         "config": _fingerprint(stage, cfg),
-        "inputs": {label: _sha256_file(path) for label, path in sorted(inputs.items())},
+        "inputs": inputs,
         "outputs": {p.rel(path): _sha256_file(path) for path in sorted(outputs)},
     }
     _write_json(p.manifest, manifest)
 
 
-def _verify_chain(cfg: RunConfig, priors, requester: str) -> None:
+def _verify_chain(cfg: RunConfig, priors, requester: str) -> dict:
     """Check each of `priors`, in run order, against its manifest record.
 
     Every output is hashed once.  A later stage's recorded input is then
     compared with the digest its producer recorded, which the same loop
-    has just checked against the file.
+    has just checked against the file.  Returns those checked digests,
+    by work-directory path.
     """
     p = paths_for(cfg)
     stages = _load_manifest(p)["stages"]
@@ -481,7 +490,7 @@ def _verify_chain(cfg: RunConfig, priors, requester: str) -> None:
                 # source dumps are external; they are only comparable while
                 # the config still points at them, and the work directory
                 # stays self-contained without them (dataset.jsonl is pinned)
-                source = {"posts": cfg.posts, "users": cfg.users}.get(label)
+                source = cfg.settings[label] if label in _STAGES["ingest"][2] else None
                 if source is None or not Path(source).exists():
                     continue
                 got = _sha256_file(source)
@@ -496,12 +505,21 @@ def _verify_chain(cfg: RunConfig, priors, requester: str) -> None:
             if _sha256_file(out) != want:
                 raise StageError(f"{rel} was modified after stage '{prior}' ran; run {prior} first")
             verified[rel] = want
+    return verified
 
 
-def ensure_fresh(cfg: RunConfig, stage: str) -> None:
-    """Fail with the stage to rerun when any prerequisite is absent or stale."""
+def ensure_fresh(cfg: RunConfig, stage: str) -> dict:
+    """Fail with the stage to rerun when any prerequisite is absent or stale.
+
+    Returns the checked digest of each file `stage` reads, by its label.
+    """
     order = list(_STAGES)
-    _verify_chain(cfg, order[: order.index(stage)], requester=stage)
+    verified = _verify_chain(cfg, order[: order.index(stage)], requester=stage)
+    labels = [label.format(cfg.sampler) for label in _STAGES[stage][2]]
+    try:
+        return {label: verified[label] for label in labels}
+    except KeyError:  # a producer's record leaves out a file it writes
+        raise StageError("manifest.json is corrupt; remove it and rerun ingest") from None
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +530,10 @@ def cmd_ingest(cfg: RunConfig) -> dict:
     if not cfg.posts or not cfg.users:
         raise ConfigError('ingest needs "posts" and "users" file paths in the config')
     p = paths_for(cfg)
-    p.root.mkdir(parents=True, exist_ok=True)
+    try:
+        p.root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file in the way, say
+        raise ConfigError(f"cannot create work directory {p.root}: {exc}") from exc
 
     posts = []
     try:
@@ -532,18 +553,14 @@ def cmd_ingest(cfg: RunConfig) -> dict:
         raise DataError("no questions survived the ingest filters")
     write_dataset(records, p.dataset)
     _write_json(p.ingest_report, {"schema_version": 1, **report})
-    _record_stage(
-        cfg,
-        "ingest",
-        inputs={"posts": Path(cfg.posts), "users": Path(cfg.users)},
-        outputs=[p.dataset, p.ingest_report],
-    )
+    dumps = {label: _sha256_file(cfg.settings[label]) for label in _STAGES["ingest"][2]}
+    _record_stage(cfg, "ingest", dumps, [p.dataset, p.ingest_report])
     return report
 
 
 def cmd_features(cfg: RunConfig) -> dict:
     """dataset.jsonl -> features.csv + tfidf.json + feature_stats.json."""
-    ensure_fresh(cfg, "features")
+    inputs = ensure_fresh(cfg, "features")
     p = paths_for(cfg)
     records = read_dataset(p.dataset)
     if not records:
@@ -563,12 +580,7 @@ def cmd_features(cfg: RunConfig) -> dict:
         "stats": matrix.stats,
     }
     _write_json(p.feature_stats, stats)
-    _record_stage(
-        cfg,
-        "features",
-        inputs={"dataset.jsonl": p.dataset},
-        outputs=[p.features_csv, p.tfidf, p.feature_stats],
-    )
+    _record_stage(cfg, "features", inputs, [p.features_csv, p.tfidf, p.feature_stats])
     return stats
 
 
@@ -578,7 +590,7 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
     `matrix` is features.csv already parsed (by `cmd_run`); without it
     the file is read here.
     """
-    ensure_fresh(cfg, "select")
+    inputs = ensure_fresh(cfg, "select")
     p = paths_for(cfg)
     if matrix is None:
         matrix = read_features_csv(p.features_csv)
@@ -596,12 +608,7 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
         raise DataError(f"feature selection failed: {exc}") from exc
     report = selection_report(result, corr, ig, d["r_threshold"], d["ig_threshold"])
     _write_json(p.selection, report)
-    _record_stage(
-        cfg,
-        "select",
-        inputs={"features.csv": p.features_csv},
-        outputs=[p.selection],
-    )
+    _record_stage(cfg, "select", inputs, [p.selection])
     return report
 
 
@@ -670,7 +677,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     side by side (`_fit_models`); `matrix` is features.csv already
     parsed, as for `cmd_select`.
     """
-    ensure_fresh(cfg, "train")
+    inputs = ensure_fresh(cfg, "train")
     p = paths_for(cfg)
     if matrix is None:
         matrix = read_features_csv(p.features_csv)
@@ -741,8 +748,12 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
         },
     )
     outputs = [rf_path, mlp_path, scaler_path, medians_path, split_path]
-    if search_result is not None:
-        search_path = p.models_dir / "search.json"
+    search_path = p.models_dir / "search.json"
+    if search_result is None:
+        # a search.json left by an earlier, searching train would describe
+        # another forest than the one beside it
+        search_path.unlink(missing_ok=True)
+    else:
         _write_json(
             search_path,
             {
@@ -752,12 +763,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
             },
         )
         outputs.append(search_path)
-    _record_stage(
-        cfg,
-        "train",
-        inputs={"features.csv": p.features_csv, "selection.json": p.selection},
-        outputs=outputs,
-    )
+    _record_stage(cfg, "train", inputs, outputs)
     return {
         "train_rows": int(len(train_idx)),
         "test_rows": int(len(test_idx)),
@@ -783,7 +789,7 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
 
     `matrix` is features.csv already parsed, as for `cmd_select`.
     """
-    ensure_fresh(cfg, "evaluate")
+    inputs = ensure_fresh(cfg, "evaluate")
     p = paths_for(cfg)
     if matrix is None:
         matrix = read_features_csv(p.features_csv)
@@ -831,19 +837,7 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
         },
     )
     written = emit_report(report, p.report_dir)
-    _record_stage(
-        cfg,
-        "evaluate",
-        inputs={
-            "features.csv": p.features_csv,
-            "selection.json": p.selection,
-            p.rel(p.models_dir / "model.rf.json"): p.models_dir / "model.rf.json",
-            p.rel(p.models_dir / "model.mlp.json"): p.models_dir / "model.mlp.json",
-            p.rel(p.models_dir / "scaler.json"): p.models_dir / "scaler.json",
-            p.rel(p.models_dir / "split.json"): p.models_dir / "split.json",
-        },
-        outputs=list(written),
-    )
+    _record_stage(cfg, "evaluate", inputs, written)
     return report
 
 
@@ -1000,8 +994,8 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read rank input: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"rank input is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DataError(f"rank input {input_path} is not valid JSON: {exc}") from exc
     record, imputed = _candidate_record(payload)
 
     tfidf = load_tfidf(p.tfidf)

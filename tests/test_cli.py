@@ -43,6 +43,26 @@ def test_config_error_exits_2(tmp_path):
     assert run_cli("run", *common(tmp_path), "--set", "threads=0") == 2
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(b'{"seed": 1, "workdir": "caf\xe9"}')  # latin-1, not UTF-8
+    assert run_cli("run", *common(tmp_path / "wd"), "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "wd"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    assert run_cli(command, *common(blocker)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create work directory {blocker}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
+
 @pytest.mark.parametrize(
     "setting",
     [
@@ -202,6 +222,16 @@ def test_rank_malformed_request_exits_3(cli_dir, tmp_path, capsys, payload, loca
     path = write_request(tmp_path, payload)
     assert run_cli("rank", *common(cli_dir), "--input", path) == 3
     assert f"error: {location}" in capsys.readouterr().err
+
+
+def test_rank_input_not_utf8_exits_3(cli_dir, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    text = json.dumps(rank_request()).replace("java?", "caf\u00e9?")
+    path.write_bytes(text.encode("latin-1"))
+    assert run_cli("rank", *common(cli_dir), "--input", str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: rank input {path} is not valid JSON: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -356,7 +357,20 @@ def test_rerun_producer_marks_its_consumer_stale(run_dir, tmp_path):
         cmd_rank(cfg, write_payload(tmp_path, rank_payload()))
 
 
-def test_freshness_check_hashes_each_file_once(run_dir, tmp_path, monkeypatch):
+@pytest.mark.parametrize("call", ["ensure_fresh", "rank", "select", "train", "evaluate"])
+def test_freshness_check_hashes_each_file_once(run_dir, tmp_path, monkeypatch, call):
+    # a stage records the digests its freshness check verified, so it
+    # hashes no input again; the stages write, so they run on a copy
+    wd = run_dir if call in ("ensure_fresh", "rank") else copy_workdir(run_dir, tmp_path)
+    cfg = make_config(wd)
+    request = write_payload(tmp_path, rank_payload())
+    calls = {
+        "ensure_fresh": lambda: pipeline.ensure_fresh(cfg, "evaluate"),
+        "rank": lambda: cmd_rank(cfg, request),
+        "select": lambda: cmd_select(cfg),
+        "train": lambda: cmd_train(cfg),
+        "evaluate": lambda: cmd_evaluate(cfg),
+    }
     hashed = []
     original = pipeline._sha256_file
 
@@ -365,14 +379,55 @@ def test_freshness_check_hashes_each_file_once(run_dir, tmp_path, monkeypatch):
         return original(path)
 
     monkeypatch.setattr(pipeline, "_sha256_file", counting)
-    cfg = make_config(run_dir)
-    request = write_payload(tmp_path, rank_payload())
-    for check in (lambda: pipeline.ensure_fresh(cfg, "evaluate"),
-                  lambda: cmd_rank(cfg, request)):
-        hashed.clear()
-        check()
-        assert (run_dir / "features.csv").resolve() in hashed
-        assert len(hashed) == len(set(hashed))
+    calls[call]()
+    assert (wd / "features.csv").resolve() in hashed
+    assert len(hashed) == len(set(hashed))
+
+
+def test_unrecorded_input_is_a_corrupt_manifest(run_dir, tmp_path):
+    # a stage records the digest its check verified for each file it reads;
+    # a producer's record that leaves the file out leaves none to record
+    wd = copy_workdir(run_dir, tmp_path)
+    manifest = json.loads((wd / "manifest.json").read_text("utf-8"))
+    del manifest["stages"]["features"]["outputs"]["features.csv"]
+    (wd / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(StageError, match="manifest.json is corrupt; remove it and rerun ingest"):
+        cmd_select(make_config(wd))
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("sampler", ["smote", "adasyn"])
+def test_manifest_records_each_stage_inputs(run_dir, tmp_path, sampler):
+    wd = run_dir
+    if sampler != "smote":
+        wd = copy_workdir(run_dir, tmp_path)
+        cfg = make_config(wd, **{"resample.method": sampler})
+        cmd_train(cfg)
+        cmd_evaluate(cfg)
+    models = f"models/{sampler}"
+    expected = {
+        "ingest": ["posts", "users"],
+        "features": ["dataset.jsonl"],
+        "select": ["features.csv"],
+        "train": ["features.csv", "selection.json"],
+        "evaluate": [
+            "features.csv",
+            f"{models}/model.mlp.json",
+            f"{models}/model.rf.json",
+            f"{models}/scaler.json",
+            f"{models}/split.json",
+            "selection.json",
+        ],
+    }
+    stages = json.loads((wd / "manifest.json").read_text("utf-8"))["stages"]
+    assert {stage: list(entry["inputs"]) for stage, entry in stages.items()} == expected
+    dumps = {"posts": POSTS, "users": USERS}
+    for stage, entry in stages.items():
+        for label, digest in entry["inputs"].items():
+            assert digest == _sha256(dumps[label] if stage == "ingest" else wd / label)
 
 
 def test_changed_source_dump_marks_ingest_stale(run_dir, tmp_path):
@@ -480,6 +535,27 @@ def test_search_writes_trials(run_dir, tmp_path):
     assert len(search["trials"]) == 3
     assert search["best"]["n_estimators"] in (5, 10)
     assert all(len(t["fold_accuracies"]) == 2 for t in search["trials"])
+
+
+def test_train_without_search_removes_stale_search_report(run_dir, tmp_path):
+    wd = copy_workdir(run_dir, tmp_path)
+    searched = make_config(
+        wd,
+        **{
+            "search.enabled": "true",
+            "search.n_iterations": 1,
+            "search.cv_folds": 2,
+            "search.n_estimators": 5,
+            "search.max_depth": 5,
+        },
+    )
+    cmd_train(searched)
+    assert (wd / "models/smote/search.json").exists()
+    cmd_train(make_config(wd))
+    outputs = json.loads((wd / "manifest.json").read_text("utf-8"))["stages"]["train"]["outputs"]
+    written = [f.relative_to(wd).as_posix() for f in (wd / "models/smote").iterdir()]
+    assert sorted(written) == sorted(outputs)
+    assert "models/smote/search.json" not in written
 
 
 # -- ranking ----------------------------------------------------------------
