@@ -75,9 +75,15 @@ class TfIdfModel:
     vocabulary: dict[str, int]  # term -> dense index 0..|V|-1
     df: np.ndarray  # per-term document frequency
     n_docs: int
+    # index -> idf, filled on first use, so `rank` pays only for its terms
+    _idf: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def idf(self, index: int) -> float:
-        return math.log(self.n_docs / self.df[index])
+        try:
+            return self._idf[index]
+        except KeyError:
+            value = self._idf[index] = math.log(self.n_docs / self.df[index])
+            return value
 
 
 def fit_tfidf(corpus: list[list[str]]) -> TfIdfModel:
@@ -143,36 +149,47 @@ def tfidf_vector(model: TfIdfModel, doc: list[str]) -> dict[int, float]:
         return {}
     counts = Counter(doc)
     maxtf = max(counts.values())
+    vocabulary, idf = model.vocabulary, model.idf
     out: dict[int, float] = {}
     for term, tf in counts.items():
-        idx = model.vocabulary.get(term)
+        idx = vocabulary.get(term)
         if idx is None:
             continue
         nf = 0.5 + 0.5 * tf / maxtf
-        out[idx] = nf * model.idf(idx)
+        out[idx] = nf * idf(idx)
     return out
 
 
-def cosine_similarity(q: dict[int, float], a: dict[int, float]) -> float:
-    """Cosine of two sparse vectors (index -> weight); 0.0 when either
-    has zero norm."""
-    norm_q = math.sqrt(sum(v * v for _, v in sorted(q.items())))
-    norm_a = math.sqrt(sum(v * v for _, v in sorted(a.items())))
+def _norm(vec: dict) -> float:
+    return math.sqrt(sum(vec[k] * vec[k] for k in sorted(vec)))
+
+
+def _cosine(q: dict, norm_q: float, a: dict) -> float:
+    """Cosine of sparse vectors `q`, whose norm is given, and `a`; every
+    sum runs in sorted-key order."""
+    norm_a = _norm(a)
     if norm_q == 0.0 or norm_a == 0.0:
         return 0.0
     dot = sum(q[k] * a[k] for k in sorted(q.keys() & a.keys()))
     return dot / (norm_q * norm_a)
 
 
+def cosine_similarity(q: dict[int, float], a: dict[int, float]) -> float:
+    """Cosine of two sparse vectors (index -> weight); 0.0 when either
+    has zero norm."""
+    return _cosine(q, _norm(q), a)
+
+
+def _word_counts(tokens) -> dict[str, float]:
+    # keyed by the word itself: sorted words run in the order that indices
+    # into the pair's sorted union vocabulary would
+    return {t: float(c) for t, c in Counter(tokens).items()}
+
+
 def vector_concordance_similarity(question_tokens, answer_tokens) -> float:
     """Cosine of raw word-count vectors over the pair's union vocabulary."""
-    q_counts = Counter(question_tokens)
-    a_counts = Counter(answer_tokens)
-    union = sorted(q_counts.keys() | a_counts.keys())
-    index = {t: i for i, t in enumerate(union)}
-    q_vec = {index[t]: float(c) for t, c in q_counts.items()}
-    a_vec = {index[t]: float(c) for t, c in a_counts.items()}
-    return cosine_similarity(q_vec, a_vec)
+    q_counts = _word_counts(question_tokens)
+    return _cosine(q_counts, _norm(q_counts), _word_counts(answer_tokens))
 
 
 def load_polarity_lexicon() -> dict[str, float]:
@@ -327,8 +344,12 @@ def extract_matrix(analyzed: list[AnalyzedRecord], tfidf_model: TfIdfModel) -> F
     }
     for analysis in analyzed:
         rec, qt = analysis.record, analysis.question
-        # TFAnswerCode and TFAnswerText both compare against the question's prose
+        # TFAnswerCode and TFAnswerText both compare against the question's
+        # prose vector, TextualSimilarity against its word counts
         q_vec = tfidf_vector(tfidf_model, qt.prose_tokens)
+        q_vec_norm = _norm(q_vec)
+        q_counts = _word_counts(qt.raw_tokens)
+        q_counts_norm = _norm(q_counts)
         for entry, at in zip(rec.answers, analysis.answers):
             try:
                 timelag, signup_lag = time_features(rec.question, entry.post, entry.user)
@@ -351,10 +372,10 @@ def extract_matrix(analyzed: list[AnalyzedRecord], tfidf_model: TfIdfModel) -> F
                 float(entry.post.score),
                 float(count_code_lines(at.parts.code_blocks)),
                 float(len(split_sentences(prose))),
-                vector_concordance_similarity(qt.raw_tokens, at.raw_tokens),
+                _cosine(q_counts, q_counts_norm, _word_counts(at.raw_tokens)),
                 float(len(at.code_ids)),
-                cosine_similarity(q_vec, tfidf_vector(tfidf_model, at.code_ids)),
-                cosine_similarity(q_vec, tfidf_vector(tfidf_model, at.prose_tokens)),
+                _cosine(q_vec, q_vec_norm, tfidf_vector(tfidf_model, at.code_ids)),
+                _cosine(q_vec, q_vec_norm, tfidf_vector(tfidf_model, at.prose_tokens)),
                 float(signup_lag),
                 float(len(remove_stop_words(at.raw_tokens, stop_list))),
             )

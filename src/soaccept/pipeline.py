@@ -7,6 +7,11 @@ message naming the stage to rerun.  Nothing in the work directory
 carries a timestamp, so two runs with the same inputs and settings are
 byte-identical.
 
+One `cmd_run` hashes each file once: it keeps every digest it computes,
+keyed on the file's (device, inode, size, mtime), and trusts it for the
+rest of the run.  A stage run on its own, and `cmd_rank`, keep none and
+hash every file they check afresh.
+
 Work directory layout::
 
     dataset.jsonl            retained question/answer records
@@ -396,6 +401,13 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _make_dir(path: Path, what: str) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file in the way, say
+        raise ConfigError(f"cannot create {what} {path}: {exc}") from exc
+
+
 def _read_json(path: Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -407,6 +419,23 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+# digests by (st_dev, st_ino, st_size, st_mtime_ns), kept while `cmd_run`
+# runs and None otherwise
+_digest_memo: dict | None = None
+
+
+def _digest(path) -> str:
+    """sha256 of `path`: from the memo while one `cmd_run` keeps it and
+    the file's key is unchanged since it was hashed, else read afresh."""
+    if _digest_memo is None:
+        return _sha256_file(path)
+    st = os.stat(path)
+    key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    if key not in _digest_memo:
+        _digest_memo[key] = _sha256_file(path)
+    return _digest_memo[key]
 
 
 # each stage in run order: its first artifact, named in dependency errors;
@@ -459,7 +488,7 @@ def _record_stage(cfg: RunConfig, stage: str, inputs: dict, outputs) -> None:
     manifest["stages"][stage] = {
         "config": _fingerprint(stage, cfg),
         "inputs": inputs,
-        "outputs": {p.rel(path): _sha256_file(path) for path in sorted(outputs)},
+        "outputs": {p.rel(path): _digest(path) for path in sorted(outputs)},
     }
     _write_json(p.manifest, manifest)
 
@@ -467,7 +496,8 @@ def _record_stage(cfg: RunConfig, stage: str, inputs: dict, outputs) -> None:
 def _verify_chain(cfg: RunConfig, priors, requester: str) -> dict:
     """Check each of `priors`, in run order, against its manifest record.
 
-    Every output is hashed once.  A later stage's recorded input is then
+    Every output is hashed once, or taken from the run's memo
+    (`_digest`).  A later stage's recorded input is then
     compared with the digest its producer recorded, which the same loop
     has just checked against the file.  Returns those checked digests,
     by work-directory path.
@@ -493,7 +523,7 @@ def _verify_chain(cfg: RunConfig, priors, requester: str) -> dict:
                 source = cfg.settings[label] if label in _STAGES["ingest"][2] else None
                 if source is None or not Path(source).exists():
                     continue
-                got = _sha256_file(source)
+                got = _digest(source)
             else:
                 got = verified.get(label)
             if got != want:
@@ -502,7 +532,7 @@ def _verify_chain(cfg: RunConfig, priors, requester: str) -> dict:
             out = p.root / rel
             if not out.exists():
                 raise StageError(f"{rel} is missing; run {prior} first")
-            if _sha256_file(out) != want:
+            if _digest(out) != want:
                 raise StageError(f"{rel} was modified after stage '{prior}' ran; run {prior} first")
             verified[rel] = want
     return verified
@@ -530,10 +560,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
     if not cfg.posts or not cfg.users:
         raise ConfigError('ingest needs "posts" and "users" file paths in the config')
     p = paths_for(cfg)
-    try:
-        p.root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a regular file in the way, say
-        raise ConfigError(f"cannot create work directory {p.root}: {exc}") from exc
+    _make_dir(p.root, "work directory")
 
     posts = []
     try:
@@ -553,7 +580,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
         raise DataError("no questions survived the ingest filters")
     write_dataset(records, p.dataset)
     _write_json(p.ingest_report, {"schema_version": 1, **report})
-    dumps = {label: _sha256_file(cfg.settings[label]) for label in _STAGES["ingest"][2]}
+    dumps = {label: _digest(cfg.settings[label]) for label in _STAGES["ingest"][2]}
     _record_stage(cfg, "ingest", dumps, [p.dataset, p.ingest_report])
     return report
 
@@ -711,7 +738,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     # at ranking time; computed over all columns, not just the retained ones
     medians = np.median(matrix.x[train_idx], axis=0)
 
-    p.models_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(p.models_dir, "model directory")
     rf_path = p.models_dir / "model.rf.json"
     mlp_path = p.models_dir / "model.mlp.json"
     save_forest(forest, rf_path)
@@ -836,6 +863,7 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
             "retained_features": len(retained),
         },
     )
+    _make_dir(p.report_dir, "report directory")
     written = emit_report(report, p.report_dir)
     _record_stage(cfg, "evaluate", inputs, written)
     return report
@@ -845,15 +873,21 @@ def cmd_run(cfg: RunConfig) -> dict:
     """All five stages in order against one work directory.
 
     features.csv is parsed once, after the stage that writes it, and the
-    matrix is handed to the three stages that read it.
+    matrix is handed to the three stages that read it.  Each file is
+    hashed once: the digest memo is on until the run returns or fails.
     """
-    ingest_report = cmd_ingest(cfg)
-    feature_stats = cmd_features(cfg)
-    p = paths_for(cfg)
-    matrix = read_features_csv(p.features_csv)
-    selection = cmd_select(cfg, matrix)
-    train_summary = cmd_train(cfg, matrix)
-    cmd_evaluate(cfg, matrix)
+    global _digest_memo
+    _digest_memo = {}
+    try:
+        ingest_report = cmd_ingest(cfg)
+        feature_stats = cmd_features(cfg)
+        p = paths_for(cfg)
+        matrix = read_features_csv(p.features_csv)
+        selection = cmd_select(cfg, matrix)
+        train_summary = cmd_train(cfg, matrix)
+        cmd_evaluate(cfg, matrix)
+    finally:
+        _digest_memo = None
     return {
         "questions": ingest_report["questions_retained"],
         "answers": ingest_report["answers_retained"],

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,24 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
     assert err.startswith(f"error: cannot create work directory {blocker}: ")
     assert "Traceback" not in err
     assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
+
+@pytest.mark.parametrize(
+    "command, blocked, kind",
+    [("train", "models", "model"), ("evaluate", "report", "report")],
+)
+def test_output_directory_blocked_by_a_file_exits_2(cli_dir, tmp_path, capsys,
+                                                    command, blocked, kind):
+    wd = tmp_path / "wd"
+    shutil.copytree(cli_dir, wd)
+    shutil.rmtree(wd / blocked)
+    (wd / blocked).write_text("a regular file\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(command, *common(wd)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create {kind} directory {wd / blocked / 'smote'}: ")
+    assert "Traceback" not in err
+    assert (wd / blocked).read_text(encoding="utf-8") == "a regular file\n"
 
 
 @pytest.mark.parametrize(

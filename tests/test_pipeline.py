@@ -237,6 +237,13 @@ def test_rerunning_one_stage_is_byte_stable(run_dir, tmp_path):
     assert (wd / "manifest.json").read_bytes() == (run_dir / "manifest.json").read_bytes()
 
 
+def test_stages_one_by_one_match_run(run_dir, tmp_path):
+    cfg = make_config(tmp_path / "wd")
+    for stage in (cmd_ingest, cmd_features, cmd_select, cmd_train, cmd_evaluate):
+        stage(cfg)
+    assert _files(tmp_path / "wd") == _files(run_dir)
+
+
 def test_select_returns_the_report_it_wrote(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     report = cmd_select(make_config(wd))
@@ -384,6 +391,49 @@ def test_freshness_check_hashes_each_file_once(run_dir, tmp_path, monkeypatch, c
     assert len(hashed) == len(set(hashed))
 
 
+def test_run_hashes_each_file_once(tmp_path, monkeypatch):
+    # one run trusts each digest it computed for the rest of the run: the
+    # two dumps, then each stage's outputs when it records them
+    wd = tmp_path / "wd"
+    hashed = []
+    original = pipeline._sha256_file
+
+    def counting(path):
+        hashed.append(Path(path).resolve())
+        return original(path)
+
+    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    cmd_run(make_config(wd))
+    stages = json.loads((wd / "manifest.json").read_text("utf-8"))["stages"]
+    outputs = [(wd / rel).resolve() for entry in stages.values() for rel in entry["outputs"]]
+    assert sorted(hashed) == sorted([Path(POSTS).resolve(), Path(USERS).resolve(), *outputs])
+    assert len(hashed) == 17
+
+
+def test_run_memo_ends_with_the_run(tmp_path):
+    # an edit that keeps the size and the mtime of a file the run hashed
+    # is still caught by the next command in the same process
+    cfg = make_config(tmp_path / "wd", **{"forest.n_estimators": 5, "mlp.epochs": 1})
+    cmd_run(cfg)
+    csv_path = paths_for(cfg).features_csv
+    st = csv_path.stat()
+    data = bytearray(csv_path.read_bytes())
+    data[-2] ^= 1
+    with open(csv_path, "r+b") as fh:
+        fh.write(data)
+    os.utime(csv_path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert csv_path.stat().st_mtime_ns == st.st_mtime_ns
+    with pytest.raises(StageError, match="features.csv was modified after stage 'features' ran"):
+        cmd_select(cfg)
+
+
+def test_failed_run_drops_the_memo(tmp_path):
+    cfg = make_config(tmp_path / "wd", **{"filter.tags": "cobol"})
+    with pytest.raises(DataError):
+        cmd_run(cfg)
+    assert pipeline._digest_memo is None
+
+
 def test_unrecorded_input_is_a_corrupt_manifest(run_dir, tmp_path):
     # a stage records the digest its check verified for each file it reads;
     # a producer's record that leaves the file out leaves none to record
@@ -473,6 +523,33 @@ def test_features_build_each_question_vector_once(tmp_path, monkeypatch):
     questions = len(read_dataset(paths_for(cfg).dataset))
     # one question vector, then one code and one prose vector per row
     assert len(calls) == questions + 2 * n_rows
+
+
+def test_extracted_similarities_match_the_public_pairwise_functions(run_dir):
+    # extract_matrix builds each question's vectors and norms once; each
+    # value must equal the one the public functions give pair by pair
+    analyzed = features.analyze_records(read_dataset(run_dir / "dataset.jsonl"))
+    model = features.fit_tfidf(features.build_pair_corpus(analyzed))
+    matrix = features.extract_matrix(analyzed, model)
+    row_of = {aid: i for i, aid in enumerate(matrix.answer_ids.tolist())}
+    col = {name: matrix.names.index(name)
+           for name in ("TextualSimilarity", "TFAnswerCode", "TFAnswerText")}
+    checked = 0
+    for rec in analyzed:
+        q_vec = features.tfidf_vector(model, rec.question.prose_tokens)
+        for entry, at in zip(rec.record.answers, rec.answers):
+            if entry.post.id not in row_of:  # dropped: answer predates its question
+                continue
+            row = matrix.x[row_of[entry.post.id]]
+            assert row[col["TextualSimilarity"]] == features.vector_concordance_similarity(
+                rec.question.raw_tokens, at.raw_tokens)
+            assert row[col["TFAnswerCode"]] == features.cosine_similarity(
+                q_vec, features.tfidf_vector(model, at.code_ids))
+            assert row[col["TFAnswerText"]] == features.cosine_similarity(
+                q_vec, features.tfidf_vector(model, at.prose_tokens))
+            checked += 1
+    assert checked == matrix.x.shape[0]
+    assert np.count_nonzero(matrix.x[:, list(col.values())]) > checked
 
 
 def test_ingest_requires_paths(tmp_path):
