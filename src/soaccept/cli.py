@@ -14,12 +14,11 @@ from .features import ClockAnomalyError, TfIdfError
 from .forest import ForestError
 from .ingest import DecodeError, ParseError, SchemaVersionError
 from .learners import LearnerError
+from .manifest import StageError
 from .metrics import MetricsError
 from .mlp import MlpError
 from .pipeline import (
-    ConfigError,
     DataError,
-    StageError,
     cmd_evaluate,
     cmd_features,
     cmd_ingest,
@@ -27,9 +26,9 @@ from .pipeline import (
     cmd_run,
     cmd_select,
     cmd_train,
-    load_config,
 )
 from .resample import ResampleError
+from .settings import ConfigError, load_config
 
 _DATA_ERRORS = (
     DataError,

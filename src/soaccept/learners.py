@@ -106,31 +106,35 @@ def _draw_params(rng, space: SearchSpace) -> dict:
     }
 
 
-def _cv_score(x, y, combo: dict, folds, plan: ResamplePlan, space: SearchSpace):
+def _cv_score(combo: dict, fold_sets, space: SearchSpace):
     key = ":".join(str(combo[k]) for k in sorted(combo))
     accuracies = []
-    all_rows = np.arange(x.shape[0])
-    for fi, val_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_rows, val_idx, assume_unique=True)
-        fold_plan = replace(plan, seed=derive_seed(plan.seed, f"cv-fold:{fi}"))
-        x_fit, y_fit = apply_plan(x[train_idx], y[train_idx], fold_plan)
+    for fi, (x_fit, y_fit, x_val, y_val) in enumerate(fold_sets):
         params = RfParams(seed=derive_seed(space.seed, f"fit:{key}:fold:{fi}"), **combo)
         model = fit_forest(x_fit, y_fit, params)
-        pred = (forest_predict_proba(model, x[val_idx]) >= 0.5).astype(np.int64)
-        accuracies.append(float(np.mean(pred == y[val_idx])))
+        pred = (forest_predict_proba(model, x_val) >= 0.5).astype(np.int64)
+        accuracies.append(float(np.mean(pred == y_val)))
     return accuracies
 
 
 def random_search(x, y, space: SearchSpace, plan: ResamplePlan) -> SearchResult:
     """Uniformly sample configurations and rank them by mean CV accuracy.
 
-    Repeated draws reuse the cached score.  The winner is the highest
-    mean accuracy; exact ties fall to fewer trees, then lower depth,
-    then first appearance.
+    Each fold is resampled once, since its training rows and plan seed
+    are the same for every draw, and repeated draws reuse the cached
+    score.  The winner is the highest mean accuracy; exact ties fall to
+    fewer trees, then lower depth, then first appearance.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     folds = stratified_kfold(y, space.cv_folds, derive_seed(space.seed, "cv-folds"))
+    all_rows = np.arange(x.shape[0])
+    fold_sets = []  # per fold: resampled training rows, then validation rows
+    for fi, val_idx in enumerate(folds):
+        train_idx = np.setdiff1d(all_rows, val_idx, assume_unique=True)
+        fold_plan = replace(plan, seed=derive_seed(plan.seed, f"cv-fold:{fi}"))
+        fit_rows = apply_plan(x[train_idx], y[train_idx], fold_plan)
+        fold_sets.append((*fit_rows, x[val_idx], y[val_idx]))
     rng = np.random.default_rng(derive_seed(space.seed, "search"))
     cache: dict = {}
     trials = []
@@ -142,7 +146,7 @@ def random_search(x, y, space: SearchSpace, plan: ResamplePlan) -> SearchResult:
         if cache_key in cache:
             accuracies = cache[cache_key]
         else:
-            accuracies = _cv_score(x, y, combo, folds, plan, space)
+            accuracies = _cv_score(combo, fold_sets, space)
             cache[cache_key] = accuracies
         mean_acc = float(np.mean(accuracies))
         trials.append(

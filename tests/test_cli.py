@@ -44,6 +44,14 @@ def test_config_error_exits_2(tmp_path):
     assert run_cli("run", *common(tmp_path), "--set", "threads=0") == 2
 
 
+@pytest.mark.parametrize("sets", [[], ["--set", "forest.max_depth=3"]], ids=["file", "set"])
+def test_config_section_not_an_object_exits_2(tmp_path, capsys, sets):
+    path = tmp_path / "run.json"
+    path.write_text('{"forest": 5}', encoding="utf-8")
+    assert run_cli("run", *common(tmp_path / "wd"), "--config", str(path), *sets) == 2
+    assert capsys.readouterr().err == "error: forest must be a JSON object\n"
+
+
 def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_bytes(b'{"seed": 1, "workdir": "caf\xe9"}')  # latin-1, not UTF-8
@@ -182,6 +190,32 @@ def test_corrupt_manifest_exits_4(tmp_path, capsys, text):
     assert "manifest.json is corrupt; remove it and rerun ingest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dump, attribute, value, where",
+    [
+        ("Posts.xml", "Score", "x1", "row 3 (Id 3)"),
+        ("Users.xml", "Reputation", "x1", "row 3 (Id 3)"),
+        ("Posts.xml", "Id", "x1", "row 3"),
+    ],
+    ids=["posts-score", "users-reputation", "posts-id"],
+)
+def test_undecodable_row_names_file_row_and_id(tmp_path, capsys, dump, attribute, value, where):
+    # the third row of each fixture dump, whose Id is 3, gets a bad value
+    bad = tmp_path / dump
+    lines = (FIXTURES / dump).read_text("utf-8").splitlines(keepends=True)
+    assert lines[4].startswith('  <row Id="3" ')
+    head, sep, tail = lines[4].partition(f' {attribute}="')
+    lines[4] = head + sep + value + tail[tail.index('"'):]
+    bad.write_text("".join(lines), encoding="utf-8")
+    dumps = {"Posts.xml": POSTS, "Users.xml": USERS, dump: str(bad)}
+    code = run_cli("ingest", "--posts", dumps["Posts.xml"], "--users", dumps["Users.xml"],
+                   "--out", str(tmp_path / "wd"))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: {bad}: {where}: bad attribute {attribute!r}: not an integer: {value!r}\n"
+    )
+
+
 def test_missing_input_file_exits_3(tmp_path):
     code = run_cli(
         "ingest",
@@ -234,8 +268,11 @@ _BAD_TS = "2015-13-45T00:00:00.000"
         ([1, 2], "rank input must be a JSON object"),
         (_edited(question={"tags": 5}), "question.tags must be a list of strings"),
         (_edited(question={"tags": "java"}), "question.tags must be a list of strings"),
+        (_edited(question={"creation_ts": 10**400}, answer={"user_creation_ts": 0}),
+         "question.creation_ts: outside the signed 64-bit range"),
     ],
-    ids=["question-ts", "answer-ts", "top-level-array", "tags-int", "tags-string"],
+    ids=["question-ts", "answer-ts", "top-level-array", "tags-int", "tags-string",
+         "question-ts-beyond-int64"],
 )
 def test_rank_malformed_request_exits_3(cli_dir, tmp_path, capsys, payload, location):
     path = write_request(tmp_path, payload)
@@ -261,9 +298,10 @@ def test_rank_input_not_utf8_exits_3(cli_dir, tmp_path, capsys):
         (_edited(answer={"reputation": 5400.0}), "answers[1].reputation: not an integer: 5400.0"),
         (_edited(answer={"reputation": True}), "answers[1].reputation: not an integer: True"),
         (_edited(question={"view_count": "1200"}), "question.view_count: not an integer: '1200'"),
+        (_edited(answer={"score": 10**400}), "answers[1].score: outside the signed 64-bit range"),
     ],
     ids=["score-string", "comment-count-float", "reputation-float", "reputation-bool",
-         "view-count-string"],
+         "view-count-string", "score-beyond-int64"],
 )
 def test_rank_mistyped_count_exits_3(cli_dir, tmp_path, capsys, payload, location):
     path = write_request(tmp_path, payload)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _synth import make_blobs, make_planted
+from soaccept import learners
 from soaccept.forest import ForestError, RfParams, fit_forest
 from soaccept.learners import (
     ImportanceReport,
@@ -173,6 +174,22 @@ def test_search_resamples_inside_folds():
     plan = ResamplePlan(method="smote", k=3, target_ratio=1.0, seed=9)
     result = random_search(x, y, TINY_SPACE, plan)
     assert result.best.n_estimators in (5, 10)
+
+
+def test_search_resamples_each_fold_once(monkeypatch):
+    # a fold's training rows and plan seed are the same for every draw
+    seeds = []
+    original = learners.apply_plan
+
+    def counting(x, y, plan):
+        seeds.append(plan.seed)
+        return original(x, y, plan)
+
+    monkeypatch.setattr(learners, "apply_plan", counting)
+    x, y = make_planted(90, seed=2, n_noise=1)
+    result = random_search(x, y, TINY_SPACE, ResamplePlan())
+    assert len({tuple(sorted(t["params"].items())) for t in result.trials}) > 1
+    assert len(seeds) == len(set(seeds)) == TINY_SPACE.cv_folds
 
 
 def _step_predictor(x):

@@ -7,14 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soaccept import features, pipeline
+from soaccept import features, manifest, pipeline
 from soaccept.ingest import IngestFilter, parse_timestamp, read_dataset
+from soaccept.manifest import StageError, artifact
 from soaccept.pipeline import (
-    ConfigError,
     DataError,
-    RunConfig,
-    StageError,
-    apply_set_overrides,
     cmd_evaluate,
     cmd_features,
     cmd_ingest,
@@ -22,9 +19,8 @@ from soaccept.pipeline import (
     cmd_run,
     cmd_select,
     cmd_train,
-    load_config,
-    paths_for,
 )
+from soaccept.settings import ConfigError, RunConfig, apply_set_overrides, load_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POSTS = str(FIXTURES / "Posts.xml")
@@ -167,7 +163,7 @@ _DIGESTS = {
 )
 def test_stage_fingerprints_are_pinned(sets, changed):
     cfg = load_config(sets=sets)
-    got = {stage: pipeline._fingerprint(stage, cfg) for stage in _DIGESTS}
+    got = {stage: manifest._fingerprint(stage, cfg) for stage in _DIGESTS}
     assert got == {**_DIGESTS, **changed}
 
 
@@ -379,13 +375,13 @@ def test_freshness_check_hashes_each_file_once(run_dir, tmp_path, monkeypatch, c
         "evaluate": lambda: cmd_evaluate(cfg),
     }
     hashed = []
-    original = pipeline._sha256_file
+    original = manifest._sha256_file
 
     def counting(path):
         hashed.append(Path(path).resolve())
         return original(path)
 
-    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    monkeypatch.setattr(manifest, "_sha256_file", counting)
     calls[call]()
     assert (wd / "features.csv").resolve() in hashed
     assert len(hashed) == len(set(hashed))
@@ -396,13 +392,13 @@ def test_run_hashes_each_file_once(tmp_path, monkeypatch):
     # two dumps, then each stage's outputs when it records them
     wd = tmp_path / "wd"
     hashed = []
-    original = pipeline._sha256_file
+    original = manifest._sha256_file
 
     def counting(path):
         hashed.append(Path(path).resolve())
         return original(path)
 
-    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    monkeypatch.setattr(manifest, "_sha256_file", counting)
     cmd_run(make_config(wd))
     stages = json.loads((wd / "manifest.json").read_text("utf-8"))["stages"]
     outputs = [(wd / rel).resolve() for entry in stages.values() for rel in entry["outputs"]]
@@ -415,7 +411,7 @@ def test_run_memo_ends_with_the_run(tmp_path):
     # is still caught by the next command in the same process
     cfg = make_config(tmp_path / "wd", **{"forest.n_estimators": 5, "mlp.epochs": 1})
     cmd_run(cfg)
-    csv_path = paths_for(cfg).features_csv
+    csv_path = artifact(cfg, "features.csv")
     st = csv_path.stat()
     data = bytearray(csv_path.read_bytes())
     data[-2] ^= 1
@@ -431,7 +427,7 @@ def test_failed_run_drops_the_memo(tmp_path):
     cfg = make_config(tmp_path / "wd", **{"filter.tags": "cobol"})
     with pytest.raises(DataError):
         cmd_run(cfg)
-    assert pipeline._digest_memo is None
+    assert manifest._digest_memo is None
 
 
 def test_unrecorded_input_is_a_corrupt_manifest(run_dir, tmp_path):
@@ -504,7 +500,7 @@ def test_features_analyze_each_post_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(features, "split_code_blocks", counting_split)
     cmd_features(cfg)
-    records = read_dataset(paths_for(cfg).dataset)
+    records = read_dataset(artifact(cfg, "dataset.jsonl"))
     assert len(calls) == sum(1 + len(r.answers) for r in records)
 
 
@@ -520,7 +516,7 @@ def test_features_build_each_question_vector_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(features, "tfidf_vector", counting_vector)
     n_rows = cmd_features(cfg)["n_rows"]
-    questions = len(read_dataset(paths_for(cfg).dataset))
+    questions = len(read_dataset(artifact(cfg, "dataset.jsonl")))
     # one question vector, then one code and one prose vector per row
     assert len(calls) == questions + 2 * n_rows
 
