@@ -1,7 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 stage
-dependency error (a prerequisite stage has not run or is stale).
+Exit codes: 0 success; otherwise the `exit_code` of the class in
+`errors` that was raised: 2 configuration error (`ConfigError`), 3 data
+error (`DataError`), 4 stage dependency error (`StageError`: a
+prerequisite stage has not run or is stale).
 """
 
 from __future__ import annotations
@@ -10,15 +12,8 @@ import argparse
 import json
 import sys
 
-from .features import ClockAnomalyError, TfIdfError
-from .forest import ForestError
-from .ingest import DecodeError, ParseError, SchemaVersionError
-from .learners import LearnerError
-from .manifest import StageError
-from .metrics import MetricsError
-from .mlp import MlpError
+from .errors import ConfigError, DataError, StageError
 from .pipeline import (
-    DataError,
     cmd_evaluate,
     cmd_features,
     cmd_ingest,
@@ -27,22 +22,7 @@ from .pipeline import (
     cmd_select,
     cmd_train,
 )
-from .resample import ResampleError
-from .settings import ConfigError, load_config
-
-_DATA_ERRORS = (
-    DataError,
-    ParseError,
-    DecodeError,
-    SchemaVersionError,
-    ClockAnomalyError,
-    TfIdfError,
-    ResampleError,
-    ForestError,
-    MlpError,
-    LearnerError,
-    MetricsError,
-)
+from .settings import load_config
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -142,15 +122,9 @@ def main(argv=None) -> int:
             print()
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, DataError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     return 0
 
 

@@ -24,6 +24,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import DataError
 from .ingest import PostRow, QARecord, UserRow
 from .textprep import (
     AnswerParts,
@@ -66,10 +67,6 @@ _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 NEGATORS = frozenset({"not", "no", "never", "none", "neither", "nor", "cannot", "t"})
 
 
-class TfIdfError(Exception):
-    pass
-
-
 @dataclass
 class TfIdfModel:
     vocabulary: dict[str, int]  # term -> dense index 0..|V|-1
@@ -89,7 +86,7 @@ class TfIdfModel:
 def fit_tfidf(corpus: list[list[str]]) -> TfIdfModel:
     """Fit vocabulary and document frequencies over token documents."""
     if not corpus:
-        raise TfIdfError("empty corpus")
+        raise DataError("empty corpus")
     df_counter: Counter = Counter()
     for doc in corpus:
         df_counter.update(set(doc))
@@ -115,7 +112,7 @@ def tfidf_to_dict(model: TfIdfModel) -> dict:
 
 def tfidf_from_dict(payload: dict) -> TfIdfModel:
     if payload.get("schema_version") != TFIDF_SCHEMA_VERSION:
-        raise TfIdfError(
+        raise DataError(
             f"unsupported tfidf schema version: {payload.get('schema_version')!r}"
         )
     terms = payload["terms"]
@@ -232,18 +229,10 @@ def extract_identifiers(code: str, keywords: frozenset[str]) -> list[str]:
     return [t for t in _IDENTIFIER_RE.findall(code) if t not in keywords]
 
 
-class ClockAnomalyError(Exception):
-    pass
-
-
 def time_features(question: PostRow, answer: PostRow, user: UserRow) -> tuple[int, int]:
-    timelag = answer.creation_ts - question.creation_ts
-    if timelag < 0:
-        raise ClockAnomalyError(
-            f"answer {answer.id} predates question {question.id} by {-timelag} ms"
-        )
-    signup_lag = answer.creation_ts - user.creation_ts
-    return timelag, signup_lag
+    """(Timelag, SignUpDateTimeLag) in milliseconds; a negative Timelag
+    marks an answer that predates its question."""
+    return answer.creation_ts - question.creation_ts, answer.creation_ts - user.creation_ts
 
 
 @dataclass
@@ -351,9 +340,8 @@ def extract_matrix(analyzed: list[AnalyzedRecord], tfidf_model: TfIdfModel) -> F
         q_counts = _word_counts(qt.raw_tokens)
         q_counts_norm = _norm(q_counts)
         for entry, at in zip(rec.answers, analysis.answers):
-            try:
-                timelag, signup_lag = time_features(rec.question, entry.post, entry.user)
-            except ClockAnomalyError:
+            timelag, signup_lag = time_features(rec.question, entry.post, entry.user)
+            if timelag < 0:
                 stats["rows_dropped_negative_timelag"] += 1
                 continue
             if signup_lag < 0:
@@ -418,7 +406,7 @@ def read_features_csv(path) -> FeatureMatrix:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header[:-1]) != FEATURE_NAMES or header[-1] != "label":
-            raise ValueError(f"unexpected features header: {header}")
+            raise DataError(f"unexpected features header: {header}")
         rows, labels = [], []
         for rec in reader:
             rows.append([float(v) for v in rec[:-1]])

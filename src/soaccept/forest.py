@@ -22,13 +22,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .seeding import derive_seed
 
 MODEL_SCHEMA_VERSION = 1
-
-
-class ForestError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,18 +42,18 @@ class RfParams:
 
     def __post_init__(self):
         if self.n_estimators < 1:
-            raise ForestError("n_estimators must be >= 1")
+            raise DataError("n_estimators must be >= 1")
         if self.max_depth < 1:
-            raise ForestError("max_depth must be >= 1")
+            raise DataError("max_depth must be >= 1")
         if self.min_samples_split < 2:
-            raise ForestError("min_samples_split must be >= 2")
+            raise DataError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
-            raise ForestError("min_samples_leaf must be >= 1")
+            raise DataError("min_samples_leaf must be >= 1")
         if isinstance(self.max_features, str):
             if self.max_features not in ("sqrt", "all"):
-                raise ForestError("max_features must be 'sqrt', 'all', or a positive int")
+                raise DataError("max_features must be 'sqrt', 'all', or a positive int")
         elif self.max_features < 1:
-            raise ForestError("integer max_features must be >= 1")
+            raise DataError("integer max_features must be >= 1")
 
 
 @dataclass
@@ -151,12 +148,12 @@ def fit_tree(x, y, params: RfParams, rng=None):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ForestError("x must be 2-d with one label per row")
+        raise DataError("x must be 2-d with one label per row")
     if x.shape[0] == 0:
-        raise ForestError("cannot fit a tree on zero rows")
+        raise DataError("cannot fit a tree on zero rows")
     if np.isnan(x).any():
         # NaN has no place in the sorted order the split search counts on
-        raise ForestError("x must not contain NaN")
+        raise DataError("x must not contain NaN")
     n, d = x.shape
     if rng is None:
         rng = np.random.default_rng(0)
@@ -262,12 +259,12 @@ def fit_forest(x, y, params: RfParams, fitted=None) -> ForestModel:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ForestError("x must be 2-d with one label per row")
+        raise DataError("x must be 2-d with one label per row")
     classes = np.unique(y)
     if classes.size < 2:
-        raise ForestError("training labels contain a single class")
+        raise DataError("training labels contain a single class")
     if not np.isin(classes, (0, 1)).all():
-        raise ForestError("labels must be 0/1")
+        raise DataError("labels must be 0/1")
     n, d = x.shape
     if fitted is None:
         fitted = fit_trees(x, y, params, range(params.n_estimators))
@@ -308,7 +305,7 @@ def forest_predict_proba(model: ForestModel, x) -> np.ndarray:
     """Mean class-1 probability over the ensemble, one value per row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
-        raise ForestError(f"expected {model.n_features} feature columns")
+        raise DataError(f"expected {model.n_features} feature columns")
     acc = np.zeros(x.shape[0])
     for tree in model.trees:
         acc += tree_predict_proba1(tree, x)
@@ -340,9 +337,9 @@ def forest_to_dict(model: ForestModel) -> dict:
 def forest_from_dict(payload: dict) -> ForestModel:
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
-        raise ForestError(f"unsupported model schema version: {version!r}")
+        raise DataError(f"unsupported model schema version: {version!r}")
     if payload.get("kind") != "random-forest":
-        raise ForestError(f"not a forest model file: kind={payload.get('kind')!r}")
+        raise DataError(f"not a forest model file: kind={payload.get('kind')!r}")
     params = RfParams(**payload["params"])
     d = int(payload["n_features"])
     trees = [

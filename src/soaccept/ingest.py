@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
+from .errors import DataError
+
 DATASET_SCHEMA_VERSION = 1
 
 _TAG_RE = re.compile(r"<([^<>]+)>")
 
 
-class ParseError(Exception):
+class ParseError(DataError):
     """Malformed dump XML; carries the parser byte offsets."""
 
     def __init__(self, message: str, error_byte: int, last_row_byte: int | None):
@@ -30,7 +32,7 @@ class ParseError(Exception):
         self.last_row_byte = last_row_byte
 
 
-class DecodeError(Exception):
+class DecodeError(DataError):
     """A row attribute is missing or unparseable; names the attribute."""
 
     def __init__(self, attribute: str, detail: str = ""):
@@ -39,8 +41,11 @@ class DecodeError(Exception):
         self.attribute = attribute
 
 
-class SchemaVersionError(Exception):
-    pass
+def fits_int64(value: int) -> bool:
+    """Whether `value` fits a signed 64-bit integer, as every integer a dump
+    row or a rank request carries must: a wider one would overflow the
+    float features and the int64 id arrays built from it."""
+    return -(2**63) <= value < 2**63
 
 
 _EPOCH = datetime(1970, 1, 1)
@@ -64,7 +69,8 @@ def parse_timestamp(text: str) -> int:
 def format_timestamp(ms: int) -> str:
     sec, msec = divmod(ms, 1000)
     dt = datetime.fromtimestamp(sec, tz=timezone.utc)
-    return f"{dt:%Y-%m-%dT%H:%M:%S}.{msec:03d}Z"
+    # %Y leaves a year before 1000 unpadded, which fromisoformat rejects
+    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{msec:03d}Z"
 
 
 def timestamp_year(ms: int) -> int:
@@ -114,7 +120,7 @@ class IngestFilter:
 
     def __post_init__(self):
         if self.year_range[0] > self.year_range[1]:
-            raise ValueError("year_range start > end")
+            raise DataError("year_range start > end")
 
 
 def stream_rows(source) -> Iterator[dict]:
@@ -163,21 +169,24 @@ def _req(attrs: dict, name: str) -> str:
     return attrs[name]
 
 
-def _req_int(attrs: dict, name: str) -> int:
-    raw = _req(attrs, name)
-    try:
-        return int(raw)
-    except ValueError:
-        raise DecodeError(name, f"not an integer: {raw!r}") from None
-
-
 def _opt_int(attrs: dict, name: str) -> int | None:
-    if name not in attrs:
+    raw = attrs.get(name)
+    if raw is None:
         return None
     try:
-        return int(attrs[name])
+        value = int(raw)
     except ValueError:
-        raise DecodeError(name, f"not an integer: {attrs[name]!r}") from None
+        raise DecodeError(name, f"not an integer: {raw!r}") from None
+    if not fits_int64(value):
+        raise DecodeError(name, "outside the signed 64-bit range")
+    return value
+
+
+def _req_int(attrs: dict, name: str) -> int:
+    value = _opt_int(attrs, name)
+    if value is None:
+        raise DecodeError(name, "missing")
+    return value
 
 
 def _req_ts(attrs: dict, name: str) -> int:
@@ -381,7 +390,7 @@ def read_dataset(path) -> list[QARecord]:
             obj = json.loads(line)
             version = obj.get("v")
             if version != DATASET_SCHEMA_VERSION:
-                raise SchemaVersionError(
+                raise DataError(
                     f"line {line_no}: schema v{version!r}, "
                     f"expected v{DATASET_SCHEMA_VERSION}"
                 )

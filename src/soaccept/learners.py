@@ -14,14 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DataError
 from .forest import ForestModel, RfParams, fit_forest, forest_predict_proba
 from .mlp import MlpModel, mlp_predict_proba
 from .resample import ResamplePlan, apply_plan
 from .seeding import derive_seed
-
-
-class LearnerError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -31,16 +28,16 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise LearnerError("train_fraction must lie strictly between 0 and 1")
+            raise DataError("train_fraction must lie strictly between 0 and 1")
 
 
 def split_indices(n: int, spec: SplitSpec):
     """Disjoint (train, test) row indices; train gets floor(n * fraction)."""
     if n < 2:
-        raise LearnerError("need at least 2 rows to split")
+        raise DataError("need at least 2 rows to split")
     n_train = math.floor(n * spec.train_fraction)
     if n_train == 0 or n_train == n:
-        raise LearnerError("split leaves one side empty; adjust train_fraction")
+        raise DataError("split leaves one side empty; adjust train_fraction")
     perm = np.random.default_rng(spec.seed).permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
@@ -63,13 +60,13 @@ class SearchSpace:
         for name in ("n_estimators", "max_depth", "min_samples_split",
                      "min_samples_leaf", "max_features", "bootstrap"):
             if len(getattr(self, name)) == 0:
-                raise LearnerError(f"search space field {name} must not be empty")
+                raise DataError(f"search space field {name} must not be empty")
             for value in getattr(self, name):
                 RfParams(**{name: value})  # the forest's own range checks
         if self.n_iterations < 1:
-            raise LearnerError("n_iterations must be >= 1")
+            raise DataError("n_iterations must be >= 1")
         if self.cv_folds < 2:
-            raise LearnerError("cv_folds must be >= 2")
+            raise DataError("cv_folds must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,9 @@ def stratified_kfold(y, n_folds: int, seed: int):
     """Validation-fold index arrays with per-class round-robin dealing."""
     y = np.asarray(y)
     if n_folds < 2:
-        raise LearnerError("n_folds must be >= 2")
+        raise DataError("n_folds must be >= 2")
     if n_folds > y.size:
-        raise LearnerError("more folds than rows")
+        raise DataError("more folds than rows")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(n_folds)]
     for label in np.unique(y):
@@ -218,7 +215,7 @@ def normalized_importance_report(
     """
     names = tuple(names)
     if len(names) != forest_model.n_features or len(names) != mlp_model.n_features:
-        raise LearnerError("feature-name count does not match the models")
+        raise DataError("feature-name count does not match the models")
     drops = permutation_importance(
         lambda m: mlp_predict_proba(mlp_model, m), x_test_scaled, y_test,
         seed=derive_seed(seed, "mlp-permutation"), n_rounds=n_rounds,

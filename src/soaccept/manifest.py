@@ -21,12 +21,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .errors import StageError
 from .settings import RunConfig
-
-
-class StageError(Exception):
-    """A prerequisite stage has not run, or its artifacts went stale."""
-
 
 # each stage in run order: its first artifact, named in dependency errors;
 # the top-level settings its config digest covers (extraction has none, so

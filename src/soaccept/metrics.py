@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .features import format_value
 
 METRICS_SCHEMA_VERSION = 1
@@ -32,10 +33,6 @@ REFERENCE_RESULTS = {
 }
 
 
-class MetricsError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     tp: int
@@ -45,7 +42,7 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise MetricsError("confusion counts must be nonnegative")
+            raise DataError("confusion counts must be nonnegative")
 
     @property
     def total(self) -> int:
@@ -56,10 +53,10 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
-        raise MetricsError("y_true and y_pred lengths differ")
+        raise DataError("y_true and y_pred lengths differ")
     for arr in (y_true, y_pred):
         if not np.isin(arr, (0, 1)).all():
-            raise MetricsError("labels must be 0/1")
+            raise DataError("labels must be 0/1")
     return ConfusionMatrix(
         tp=int(np.sum((y_true == 1) & (y_pred == 1))),
         fp=int(np.sum((y_true == 0) & (y_pred == 1))),
@@ -70,7 +67,7 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
 
 def accuracy(cm: ConfusionMatrix) -> float:
     if cm.total == 0:
-        raise MetricsError("empty confusion matrix")
+        raise DataError("empty confusion matrix")
     return (cm.tp + cm.tn) / cm.total
 
 
@@ -121,13 +118,13 @@ def roc(y_true, scores) -> RocCurve:
     y = np.asarray(y_true)
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
-        raise MetricsError("labels and scores lengths differ")
+        raise DataError("labels and scores lengths differ")
     if not np.isin(y, (0, 1)).all():
-        raise MetricsError("labels must be 0/1")
+        raise DataError("labels must be 0/1")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise MetricsError("roc needs both classes present")
+        raise DataError("roc needs both classes present")
 
     order = np.argsort(-s, kind="stable")
     ys = y[order]
@@ -386,7 +383,7 @@ def report_to_dict(report: EvalReport) -> dict:
 def emit_report(report: EvalReport, out_dir) -> list:
     """Write report.md, roc.csv, roc.svg, and metrics.json into out_dir."""
     if not report.evals:
-        raise MetricsError("report has no model evaluations to emit")
+        raise DataError("report has no model evaluations to emit")
     from pathlib import Path
 
     out = Path(out_dir)

@@ -15,17 +15,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .seeding import derive_seed
 
 MODEL_SCHEMA_VERSION = 1
 N_HIDDEN_LAYERS = 5
 
 
-class MlpError(ValueError):
-    pass
-
-
-class DivergenceError(MlpError):
+class DivergenceError(DataError):
     """Raised when an epoch's mean minibatch loss, or any weight or bias
     after the epoch, is no longer finite."""
 
@@ -52,15 +49,15 @@ class MlpConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if len(self.hidden) != N_HIDDEN_LAYERS:
-            raise MlpError(f"hidden must list exactly {N_HIDDEN_LAYERS} layer widths")
+            raise DataError(f"hidden must list exactly {N_HIDDEN_LAYERS} layer widths")
         if any(h < 1 for h in self.hidden):
-            raise MlpError("hidden layer widths must be >= 1")
+            raise DataError("hidden layer widths must be >= 1")
         if not self.learning_rate > 0:
-            raise MlpError("learning_rate must be positive")
+            raise DataError("learning_rate must be positive")
         if self.batch_size < 1:
-            raise MlpError("batch_size must be >= 1")
+            raise DataError("batch_size must be >= 1")
         if self.epochs < 1:
-            raise MlpError("epochs must be >= 1")
+            raise DataError("epochs must be >= 1")
 
 
 @dataclass
@@ -187,11 +184,11 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise MlpError("x must be 2-d with one label per row")
+        raise DataError("x must be 2-d with one label per row")
     if x.shape[0] == 0:
-        raise MlpError("cannot train on zero rows")
+        raise DataError("cannot train on zero rows")
     if not np.isin(np.unique(y), (0, 1)).all():
-        raise MlpError("labels must be 0/1")
+        raise DataError("labels must be 0/1")
     n, d = x.shape
     y = y.astype(np.float64)
     weights, biases = init_parameters(d, config)
@@ -238,7 +235,7 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
 def mlp_predict_proba(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
-        raise MlpError(f"expected {model.n_features} feature columns")
+        raise DataError(f"expected {model.n_features} feature columns")
     _, z_out = _forward(model.weights, model.biases, x)
     return _sigmoid(z_out).ravel()
 
@@ -258,9 +255,9 @@ def mlp_to_dict(model: MlpModel) -> dict:
 def mlp_from_dict(payload: dict) -> MlpModel:
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
-        raise MlpError(f"unsupported model schema version: {version!r}")
+        raise DataError(f"unsupported model schema version: {version!r}")
     if payload.get("kind") != "mlp":
-        raise MlpError(f"not an mlp model file: kind={payload.get('kind')!r}")
+        raise DataError(f"not an mlp model file: kind={payload.get('kind')!r}")
     return MlpModel(
         weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
         biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError, DataError, StageError
 from .features import (
     FEATURE_NAMES,
     analyze_records,
@@ -47,6 +48,7 @@ from .ingest import (
     build_dataset,
     decode_post,
     decode_user,
+    fits_int64,
     parse_timestamp,
     read_dataset,
     stream_rows,
@@ -54,7 +56,6 @@ from .ingest import (
 )
 from .learners import normalized_importance_report, random_search, split_indices
 from .manifest import (
-    StageError,
     artifact,
     digest_memo,
     dump_digests,
@@ -69,11 +70,7 @@ from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
 from .resample import Scaler, apply_plan, standardize
 from .seeding import derive_seed
 from .selection import select_features, selection_report
-from .settings import ConfigError, RunConfig
-
-
-class DataError(Exception):
-    """Input data cannot produce a usable result (empty, degenerate)."""
+from .settings import RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +167,7 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
             ig_threshold=d["ig_threshold"],
             k=d["mi_k"],
         )
-    except ValueError as exc:
+    except DataError as exc:
         raise DataError(f"feature selection failed: {exc}") from exc
     report = selection_report(result, corr, ig, d["r_threshold"], d["ig_threshold"])
     path = artifact(cfg, "selection.json")
@@ -255,7 +252,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     spec = cfg.split_spec()
     try:
         train_idx, test_idx = split_indices(len(y), spec)
-    except ValueError as exc:
+    except DataError as exc:
         raise DataError(f"cannot split {len(y)} rows: {exc}") from exc
     x_train, y_train = x[train_idx], y[train_idx]
     plan = cfg.resample_plan()
@@ -420,14 +417,13 @@ def cmd_run(cfg: RunConfig) -> dict:
 
 def _candidate_int(value, what: str) -> int | None:
     """An optional integer field: absent or null is None (imputed later);
-    any other JSON type, or an integer wider than 64 bits, which would
-    overflow the float features built from it, is an error rather than a
-    silent imputation."""
+    any other JSON type, or an integer that `fits_int64` rejects, is an
+    error rather than a silent imputation."""
     if value is None:
         return None
     if not isinstance(value, int) or isinstance(value, bool):
         raise DataError(f"{what}: not an integer: {value!r}")
-    if not -(2**63) <= value < 2**63:
+    if not fits_int64(value):
         raise DataError(f"{what}: outside the signed 64-bit range")
     return value
 

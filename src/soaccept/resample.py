@@ -18,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 _METHODS = ("none", "smote", "adasyn")
 
 # entries of the query-by-data distance block screened at once
 _CHUNK_ENTRIES = 1 << 20
-
-
-class ResampleError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -38,13 +36,13 @@ class ResamplePlan:
 
     def __post_init__(self):
         if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+            raise DataError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise DataError("k must be >= 1")
         if not (0.0 < self.target_ratio <= 1.0):
-            raise ValueError("target_ratio must be in (0, 1]")
+            raise DataError("target_ratio must be in (0, 1]")
         if not (0.0 <= self.beta <= 1.0):
-            raise ValueError("beta must be in [0, 1]")
+            raise DataError("beta must be in [0, 1]")
 
 
 @dataclass
@@ -66,7 +64,7 @@ def standardize(x: np.ndarray) -> tuple[np.ndarray, Scaler]:
     """Column z-scores from the given rows; constant columns become 0."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 2:
-        raise ResampleError("standardize needs at least 2 rows")
+        raise DataError("standardize needs at least 2 rows")
     scaler = Scaler(mean=x.mean(axis=0), sd=x.std(axis=0))
     return scaler.transform(x), scaler
 
@@ -144,7 +142,7 @@ def _knn(queries: np.ndarray, data: np.ndarray, k: int) -> np.ndarray:
 def _minority_neighbors(z_minority: np.ndarray, k: int) -> np.ndarray:
     m = z_minority.shape[0]
     if m <= k:
-        raise ResampleError(
+        raise DataError(
             f"minority size {m} must exceed k={k}; rerun with a smaller k"
         )
     return _knn(z_minority, z_minority, k)
@@ -191,7 +189,7 @@ def adasyn_allocation(
     z_minority = np.asarray(z_minority, dtype=np.float64)
     z_majority = np.asarray(z_majority, dtype=np.float64)
     if z_majority.shape[0] == 0:
-        raise ResampleError("adasyn needs a non-empty majority class")
+        raise DataError("adasyn needs a non-empty majority class")
     m = z_minority.shape[0]
     g_total = (z_majority.shape[0] - m) * beta
     if g_total <= 0:
@@ -246,7 +244,7 @@ def apply_plan(
     n_min = int(min_mask.sum())
     n_maj = int((~min_mask).sum())
     if n_min == 0 or n_maj == 0:
-        raise ResampleError("both classes must be present to resample")
+        raise DataError("both classes must be present to resample")
 
     z, scaler = standardize(x)
     z_min = z[min_mask]

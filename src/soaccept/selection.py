@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 # fixed internal seed for the tie-breaking jitter: estimates are
 # reproducible across runs and thread counts
 _JITTER_SEED = 0x5EED
@@ -35,7 +37,7 @@ class SelectionResult:
 def pearson_matrix(x: np.ndarray, names: tuple[str, ...]) -> CorrelationMatrix:
     """Pairwise sample Pearson r; a zero-variance column gets r = 0."""
     if x.shape[0] < 2:
-        raise ValueError("pearson_matrix needs at least 2 rows")
+        raise DataError("pearson_matrix needs at least 2 rows")
     x = np.asarray(x, dtype=np.float64)
     centered = x - x.mean(axis=0)
     sd = np.sqrt((centered**2).mean(axis=0))
@@ -159,9 +161,9 @@ def mutual_information(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:
     n = x.shape[0]
     classes, counts = np.unique(y, return_counts=True)
     if classes.shape[0] < 2:
-        raise ValueError("mutual_information needs both classes present")
+        raise DataError("mutual_information needs both classes present")
     if n < 3 * k:
-        raise ValueError(f"mutual_information needs n >= 3k ({n} < {3 * k})")
+        raise DataError(f"mutual_information needs n >= 3k ({n} < {3 * k})")
 
     rng = np.random.default_rng(_JITTER_SEED)
     scale = max(1.0, float(np.mean(np.abs(x))))
@@ -182,7 +184,7 @@ def mutual_information(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:
         usable[mask] = True
 
     if not usable.any():
-        raise ValueError("mutual_information: no class has 2 or more samples")
+        raise DataError("mutual_information: no class has 2 or more samples")
     within = _count_within(x[usable], radius[usable])
     nats = (
         _psi(int(usable.sum()))

@@ -14,16 +14,13 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+from .errors import ConfigError, DataError
 from .forest import RfParams
 from .ingest import IngestFilter
 from .learners import SearchSpace, SplitSpec
 from .mlp import MlpConfig
 from .resample import ResamplePlan
 from .seeding import derive_seed
-
-
-class ConfigError(Exception):
-    """Bad configuration: unknown key, wrong type, out-of-range value."""
 
 
 def _defaults(cls, **pipeline_defaults) -> dict:
@@ -184,7 +181,7 @@ class RunConfig:
         ):
             try:
                 build()
-            except ValueError as exc:
+            except DataError as exc:
                 raise ConfigError(f"{section}: {exc}") from exc
         return cfg
 

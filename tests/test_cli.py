@@ -1,5 +1,11 @@
+import ast
+import builtins
+import importlib
+import inspect
 import json
 import os
+import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import soaccept
+from soaccept import cli
 from soaccept.cli import main
+from soaccept.errors import ConfigError, DataError, StageError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POSTS = str(FIXTURES / "Posts.xml")
@@ -155,6 +163,32 @@ def test_diverging_run_exits_3_alike_in_and_out_of_process(tmp_path, capsys):
     )
 
 
+def test_every_error_class_has_one_of_three_exit_codes():
+    roots = (ConfigError, DataError, StageError)
+    assert [cls.exit_code for cls in roots] == [2, 3, 4]
+    defined = []
+    for info in pkgutil.iter_modules(soaccept.__path__):
+        module = importlib.import_module(f"soaccept.{info.name}")
+        defined += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+        # the package raises only its own classes, never a builtin one
+        # (SystemExit only hands main's exit code to the interpreter)
+        tree = ast.parse(inspect.getsource(module))
+        raised = {node.exc.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and isinstance(node.exc.func, ast.Name)}
+        assert not raised & (set(dir(builtins)) - {"SystemExit"}), module.__name__
+    assert set(roots) < set(defined)
+    for cls in defined:
+        assert issubclass(cls, roots), cls
+    # cli.main catches exactly the three, so none can exit 1 with a traceback
+    handlers = [node.type for node in ast.walk(ast.parse(inspect.getsource(main)))
+                if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 1 and isinstance(handlers[0], ast.Tuple)
+    assert {vars(cli)[name.id] for name in handlers[0].elts} == set(roots)
+
+
 def test_data_error_exits_3(tmp_path):
     bad = tmp_path / "Posts.xml"
     bad.write_text("<posts><row Id='1'", encoding="utf-8")
@@ -190,6 +224,25 @@ def test_corrupt_manifest_exits_4(tmp_path, capsys, text):
     assert "manifest.json is corrupt; remove it and rerun ingest" in capsys.readouterr().err
 
 
+def _edited_dump(tmp_path, dump, row_id, attribute, value):
+    """A copy of fixture `dump` whose row `row_id` has `attribute` set to `value`."""
+    lines = (FIXTURES / dump).read_text("utf-8").splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(f'  <row Id="{row_id}" '))
+    head, sep, tail = lines[i].partition(f' {attribute}="')
+    assert sep, (dump, row_id, attribute)
+    lines[i] = head + sep + value + tail[tail.index('"'):]
+    bad = tmp_path / dump
+    bad.write_text("".join(lines), encoding="utf-8")
+    return bad
+
+
+def _run_on(tmp_path, command, bad):
+    """`command` on the fixture dumps with `bad` standing in for its namesake."""
+    dumps = {"Posts.xml": POSTS, "Users.xml": USERS, bad.name: str(bad)}
+    return run_cli(command, "--posts", dumps["Posts.xml"], "--users", dumps["Users.xml"],
+                   "--out", str(tmp_path / "wd"))
+
+
 @pytest.mark.parametrize(
     "dump, attribute, value, where",
     [
@@ -201,19 +254,42 @@ def test_corrupt_manifest_exits_4(tmp_path, capsys, text):
 )
 def test_undecodable_row_names_file_row_and_id(tmp_path, capsys, dump, attribute, value, where):
     # the third row of each fixture dump, whose Id is 3, gets a bad value
-    bad = tmp_path / dump
-    lines = (FIXTURES / dump).read_text("utf-8").splitlines(keepends=True)
-    assert lines[4].startswith('  <row Id="3" ')
-    head, sep, tail = lines[4].partition(f' {attribute}="')
-    lines[4] = head + sep + value + tail[tail.index('"'):]
-    bad.write_text("".join(lines), encoding="utf-8")
-    dumps = {"Posts.xml": POSTS, "Users.xml": USERS, dump: str(bad)}
-    code = run_cli("ingest", "--posts", dumps["Posts.xml"], "--users", dumps["Users.xml"],
-                   "--out", str(tmp_path / "wd"))
-    assert code == 3
+    bad = _edited_dump(tmp_path, dump, 3, attribute, value)
+    assert _run_on(tmp_path, "ingest", bad) == 3
     assert capsys.readouterr().err == (
         f"error: {bad}: {where}: bad attribute {attribute!r}: not an integer: {value!r}\n"
     )
+
+
+_WIDE = "9" * 400
+
+
+@pytest.mark.parametrize(
+    "dump, row_id, attribute, value, where",
+    [
+        ("Posts.xml", 3, "Score", _WIDE, "row 3 (Id 3)"),  # an answer
+        ("Posts.xml", 1, "ViewCount", _WIDE, "row 1 (Id 1)"),  # a question
+        ("Users.xml", 3, "Reputation", _WIDE, "row 3 (Id 3)"),
+        ("Posts.xml", 3, "Id", str(-(2**63) - 1), f"row 3 (Id {-(2**63) - 1})"),
+    ],
+    ids=["answer-score", "question-viewcount", "user-reputation", "post-id"],
+)
+def test_integer_beyond_int64_exits_3(tmp_path, capsys, dump, row_id, attribute, value, where):
+    bad = _edited_dump(tmp_path, dump, row_id, attribute, value)
+    assert _run_on(tmp_path, "run", bad) == 3
+    assert capsys.readouterr().err == (
+        f"error: {bad}: {where}: bad attribute {attribute!r}: outside the signed 64-bit range\n"
+    )
+
+
+def test_signup_before_year_1000_reaches_features(tmp_path, capsys):
+    bad = tmp_path / "Users.xml"
+    text = (FIXTURES / "Users.xml").read_text("utf-8")
+    bad.write_text(re.sub(r'CreationDate="\d{4}-', 'CreationDate="0999-', text), "utf-8")
+    assert _run_on(tmp_path, "ingest", bad) == 0
+    assert '"user_creation_ts": "0999-' in (tmp_path / "wd" / "dataset.jsonl").read_text("utf-8")
+    assert _run_on(tmp_path, "features", bad) == 0
+    assert capsys.readouterr().out.startswith("retained 200 questions")
 
 
 def test_missing_input_file_exits_3(tmp_path):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _synth import make_planted
+from soaccept.errors import DataError
 from soaccept.forest import (
     _best_split,
     DecisionTree,
-    ForestError,
     ForestModel,
     RfParams,
     fit_forest,
@@ -87,30 +87,30 @@ def test_best_split_matches_argsort_reference(seed):
 
 def test_nan_features_are_rejected():
     x = np.array([[0.0], [np.nan], [1.0], [2.0]])
-    with pytest.raises(ForestError, match="NaN"):
+    with pytest.raises(DataError, match="NaN"):
         fit_tree(x, np.array([0, 1, 0, 1]), ALL)
-    with pytest.raises(ForestError, match="NaN"):
+    with pytest.raises(DataError, match="NaN"):
         fit_forest(x, np.array([0, 1, 0, 1]), RfParams(n_estimators=2))
 
 
 def test_params_validation():
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="n_estimators must be >= 1"):
         RfParams(n_estimators=0)
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="max_depth must be >= 1"):
         RfParams(max_depth=0)
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="min_samples_split must be >= 2"):
         RfParams(min_samples_split=1)
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="min_samples_leaf must be >= 1"):
         RfParams(min_samples_leaf=0)
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="max_features must be 'sqrt', 'all'"):
         RfParams(max_features="half")
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="integer max_features must be >= 1"):
         RfParams(max_features=0)
 
 
 def test_feature_subset_sizes():
     assert n_sub_features(14, "sqrt") == 4
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="max_features must be 'sqrt', 'all'"):
         RfParams(max_features="auto")  # once an alias of "sqrt"
     assert n_sub_features(16, "sqrt") == 4
     assert n_sub_features(14, "all") == 14
@@ -196,7 +196,7 @@ def test_tree_memorizes_distinct_rows(labels):
 
 def test_forest_rejects_single_class():
     x = np.random.default_rng(0).standard_normal((10, 3))
-    with pytest.raises(ForestError, match="single class"):
+    with pytest.raises(DataError, match="single class"):
         fit_forest(x, np.ones(10, dtype=int), RfParams(n_estimators=2))
 
 
@@ -312,10 +312,10 @@ def test_model_schema_checks(tmp_path):
     x, y = make_planted(60, seed=4)
     payload = forest_to_dict(fit_forest(x, y, RfParams(n_estimators=2, max_depth=3)))
     bad = dict(payload, schema_version=99)
-    with pytest.raises(ForestError, match="schema version"):
+    with pytest.raises(DataError, match="schema version"):
         forest_from_dict(bad)
     bad = dict(payload, kind="mlp")
-    with pytest.raises(ForestError, match="kind"):
+    with pytest.raises(DataError, match="kind"):
         forest_from_dict(bad)
     path = tmp_path / "model.rf.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -325,5 +325,5 @@ def test_model_schema_checks(tmp_path):
 def test_predict_rejects_wrong_width():
     x, y = make_planted(60, seed=6)
     model = fit_forest(x, y, RfParams(n_estimators=2, max_depth=3))
-    with pytest.raises(ForestError, match="feature columns"):
+    with pytest.raises(DataError, match="feature columns"):
         forest_predict_proba(model, np.zeros((4, 3)))

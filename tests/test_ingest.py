@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soaccept.errors import DataError
 from soaccept.ingest import (
     DecodeError,
     IngestFilter,
     ParseError,
     PostRow,
-    SchemaVersionError,
     UserRow,
     build_dataset,
     decode_post,
@@ -124,6 +124,20 @@ def test_decode_bad_integer_names_attribute():
     assert err.value.attribute == "Id"
 
 
+@pytest.mark.parametrize("value, fits", [
+    (2**63 - 1, True), (-(2**63), True), (2**63, False), (-(2**63) - 1, False),
+])
+def test_decode_integer_holds_to_int64(value, fits):
+    attrs = {"Id": "6", "PostTypeId": "2", "ParentId": "5", "CreationDate": TS,
+             "Score": str(value)}
+    if fits:
+        assert decode_post(attrs).score == value
+    else:
+        with pytest.raises(DecodeError, match="outside the signed 64-bit range") as err:
+            decode_post(attrs)
+        assert err.value.attribute == "Score"
+
+
 def test_decode_user():
     u = decode_user({"Id": "9", "Reputation": "1500", "CreationDate": "2012-01-01T00:00:00.000"})
     assert u == UserRow(id=9, reputation=1500, creation_ts=parse_timestamp("2012-01-01T00:00:00"))
@@ -193,6 +207,15 @@ def test_timestamp_matches_calendar_formula_anywhere(dt, suffix):
 def test_timestamp_round_trip_millisecond_exact():
     ms = parse_timestamp("2014-03-01T10:00:00.123")
     assert format_timestamp(ms) == "2014-03-01T10:00:00.123Z"
+    assert parse_timestamp(format_timestamp(ms)) == ms
+
+
+@pytest.mark.parametrize(
+    "text", ["0001-01-01T00:00:00.000Z", "0999-01-15T14:33:54.735Z", "9999-12-31T23:59:59.999Z"]
+)
+def test_timestamp_round_trip_pads_the_year(text):
+    ms = parse_timestamp(text)
+    assert format_timestamp(ms) == text
     assert parse_timestamp(format_timestamp(ms)) == ms
 
 
@@ -382,5 +405,5 @@ def test_dataset_schema_fields(tmp_path):
 def test_dataset_version_mismatch(tmp_path):
     path = tmp_path / "dataset.jsonl"
     path.write_text('{"v": 99, "question": {}, "answers": []}\n')
-    with pytest.raises(SchemaVersionError):
+    with pytest.raises(DataError, match="schema v"):
         read_dataset(path)

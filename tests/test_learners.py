@@ -3,10 +3,10 @@ import pytest
 
 from _synth import make_blobs, make_planted
 from soaccept import learners
-from soaccept.forest import ForestError, RfParams, fit_forest
+from soaccept.errors import DataError
+from soaccept.forest import RfParams, fit_forest
 from soaccept.learners import (
     ImportanceReport,
-    LearnerError,
     SearchSpace,
     SplitSpec,
     normalized_importance_report,
@@ -54,11 +54,11 @@ def test_split_train_test_shapes():
 
 
 def test_split_spec_validation():
-    with pytest.raises(LearnerError):
+    with pytest.raises(DataError, match="train_fraction must lie strictly between 0 and 1"):
         SplitSpec(train_fraction=0.0)
-    with pytest.raises(LearnerError):
+    with pytest.raises(DataError, match="train_fraction must lie strictly between 0 and 1"):
         SplitSpec(train_fraction=1.0)
-    with pytest.raises(LearnerError):
+    with pytest.raises(DataError, match="need at least 2 rows to split"):
         split_indices(1, SplitSpec())
 
 
@@ -76,22 +76,22 @@ def test_stratified_folds_partition_and_balance():
 
 
 def test_stratified_folds_validation():
-    with pytest.raises(LearnerError):
+    with pytest.raises(DataError, match="n_folds must be >= 2"):
         stratified_kfold(np.array([0, 1]), 1, seed=0)
-    with pytest.raises(LearnerError):
+    with pytest.raises(DataError, match="more folds than rows"):
         stratified_kfold(np.array([0, 1]), 3, seed=0)
 
 
 def test_search_space_validation():
-    with pytest.raises(LearnerError):
+    with pytest.raises(DataError, match="search space field n_estimators must not be empty"):
         SearchSpace(n_estimators=())
-    with pytest.raises(LearnerError):
+    with pytest.raises(DataError, match="n_iterations must be >= 1"):
         SearchSpace(n_iterations=0)
-    with pytest.raises(LearnerError):
+    with pytest.raises(DataError, match="cv_folds must be >= 2"):
         SearchSpace(cv_folds=1)
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="max_features must be 'sqrt', 'all'"):
         SearchSpace(max_features=("sqrt", "auto"))
-    with pytest.raises(ForestError):
+    with pytest.raises(DataError, match="min_samples_split must be >= 2"):
         SearchSpace(min_samples_split=(1, 2))
 
 
@@ -259,5 +259,5 @@ def test_noise_features_stay_near_uniform():
 
 def test_report_name_count_must_match():
     x, y, forest, net = _noise_models()
-    with pytest.raises(LearnerError, match="feature-name count"):
+    with pytest.raises(DataError, match="feature-name count"):
         normalized_importance_report(["a", "b"], forest, net, x, y)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soaccept.errors import DataError
 from soaccept.learners import ImportanceReport
 from soaccept.metrics import (
     REFERENCE_RESULTS,
     ConfusionMatrix,
     EvalReport,
-    MetricsError,
     accuracy,
     confusion,
     emit_report,
@@ -53,11 +53,11 @@ def test_all_negative_predictions_zero_with_flag():
 
 
 def test_confusion_validation():
-    with pytest.raises(MetricsError, match="lengths"):
+    with pytest.raises(DataError, match="lengths"):
         confusion([0, 1], [0, 1, 1])
-    with pytest.raises(MetricsError, match="0/1"):
+    with pytest.raises(DataError, match="0/1"):
         confusion([0, 2], [0, 1])
-    with pytest.raises(MetricsError):
+    with pytest.raises(DataError, match="confusion counts must be nonnegative"):
         ConfusionMatrix(tp=-1, fp=0, tn=0, fn=0)
 
 
@@ -129,7 +129,7 @@ def test_roc_three_sample_example():
 
 
 def test_roc_rejects_single_class():
-    with pytest.raises(MetricsError, match="both classes"):
+    with pytest.raises(DataError, match="both classes"):
         roc([1, 1, 1], [0.1, 0.5, 0.9])
 
 
@@ -230,5 +230,5 @@ def test_roc_csv_rows(tmp_path):
 
 
 def test_emit_report_requires_evals(tmp_path):
-    with pytest.raises(MetricsError, match="no model evaluations"):
+    with pytest.raises(DataError, match="no model evaluations"):
         emit_report(EvalReport(evals=()), tmp_path)

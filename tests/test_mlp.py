@@ -7,10 +7,10 @@ import pytest
 
 from _synth import make_blobs, max_relative_error, numeric_gradients
 from soaccept import mlp
+from soaccept.errors import DataError
 from soaccept.mlp import (
     DivergenceError,
     MlpConfig,
-    MlpError,
     MlpModel,
     _forward,
     _sigmoid,
@@ -31,15 +31,15 @@ SMALL = MlpConfig(hidden=(8, 6, 5, 4, 3), learning_rate=0.5, batch_size=16,
 
 
 def test_config_validation():
-    with pytest.raises(MlpError, match="exactly 5"):
+    with pytest.raises(DataError, match="exactly 5"):
         MlpConfig(hidden=(4, 4))
-    with pytest.raises(MlpError):
+    with pytest.raises(DataError, match="hidden layer widths must be >= 1"):
         MlpConfig(hidden=(4, 4, 4, 0, 4))
-    with pytest.raises(MlpError):
+    with pytest.raises(DataError, match="learning_rate must be positive"):
         MlpConfig(learning_rate=0.0)
-    with pytest.raises(MlpError):
+    with pytest.raises(DataError, match="batch_size must be >= 1"):
         MlpConfig(batch_size=0)
-    with pytest.raises(MlpError):
+    with pytest.raises(DataError, match="epochs must be >= 1"):
         MlpConfig(epochs=0)
 
 
@@ -300,9 +300,9 @@ def test_model_schema_checks():
                     epochs=3, seed=13)
     payload = mlp_to_dict(fit_mlp(x, y, cfg))
     assert json.dumps(payload)  # serializable
-    with pytest.raises(MlpError, match="schema version"):
+    with pytest.raises(DataError, match="schema version"):
         mlp_from_dict(dict(payload, schema_version=9))
-    with pytest.raises(MlpError, match="kind"):
+    with pytest.raises(DataError, match="kind"):
         mlp_from_dict(dict(payload, kind="random-forest"))
 
 
@@ -311,11 +311,11 @@ def test_predict_rejects_wrong_width():
     cfg = MlpConfig(hidden=(4, 3, 3, 2, 2), learning_rate=0.2, batch_size=8,
                     epochs=3, seed=15)
     model = fit_mlp(x, y, cfg)
-    with pytest.raises(MlpError, match="feature columns"):
+    with pytest.raises(DataError, match="feature columns"):
         mlp_predict_proba(model, np.zeros((4, 5)))
 
 
 def test_rejects_bad_labels():
     x, _ = make_blobs(20, seed=16)
-    with pytest.raises(MlpError, match="0/1"):
+    with pytest.raises(DataError, match="0/1"):
         fit_mlp(x, np.full(20, 2), MlpConfig(hidden=(3, 3, 3, 3, 3)))

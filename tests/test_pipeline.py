@@ -9,9 +9,9 @@ import pytest
 
 from soaccept import features, manifest, pipeline
 from soaccept.ingest import IngestFilter, parse_timestamp, read_dataset
-from soaccept.manifest import StageError, artifact
+from soaccept.errors import ConfigError, DataError, StageError
+from soaccept.manifest import artifact
 from soaccept.pipeline import (
-    DataError,
     cmd_evaluate,
     cmd_features,
     cmd_ingest,
@@ -20,7 +20,7 @@ from soaccept.pipeline import (
     cmd_select,
     cmd_train,
 )
-from soaccept.settings import ConfigError, RunConfig, apply_set_overrides, load_config
+from soaccept.settings import RunConfig, apply_set_overrides, load_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POSTS = str(FIXTURES / "Posts.xml")
@@ -425,7 +425,7 @@ def test_run_memo_ends_with_the_run(tmp_path):
 
 def test_failed_run_drops_the_memo(tmp_path):
     cfg = make_config(tmp_path / "wd", **{"filter.tags": "cobol"})
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="no questions survived"):
         cmd_run(cfg)
     assert manifest._digest_memo is None
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from soaccept.errors import DataError
 from soaccept.resample import (
-    ResampleError,
     ResamplePlan,
     _interpolate,
     _knn,
@@ -82,7 +82,7 @@ def test_smote_exact_count_and_determinism():
 
 def test_smote_k_too_large():
     pts = np.zeros((4, 2))
-    with pytest.raises(ResampleError) as err:
+    with pytest.raises(DataError, match="smaller k") as err:
         smote(pts, k=4, n_synthetic=5, seed=1)
     assert "smaller k" in str(err.value)
 
@@ -196,13 +196,13 @@ def test_minority_label_tie_prefers_accepted():
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="method must be one of"):
         ResamplePlan(method="bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="k must be >= 1"):
         ResamplePlan(k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="target_ratio must be in"):
         ResamplePlan(target_ratio=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="beta must be in"):
         ResamplePlan(beta=1.5)
 
 

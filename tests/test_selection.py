@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from soaccept.errors import DataError
 from soaccept.features import FEATURE_NAMES
 from soaccept.selection import (
     _JITTER_SEED,
@@ -53,7 +54,7 @@ def test_pearson_zero_variance_flagged_as_zero():
 
 
 def test_pearson_needs_two_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="pearson_matrix needs at least 2 rows"):
         pearson_matrix(np.ones((1, 3)), ("a", "b", "c"))
 
 
@@ -90,12 +91,12 @@ def test_mi_monotone_transform_stability():
 
 
 def test_mi_single_class_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="needs both classes present"):
         mutual_information(np.arange(30.0), np.zeros(30, dtype=int), k=3)
 
 
 def test_mi_too_few_samples_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="needs n >= 3k"):
         mutual_information(np.arange(5.0), np.array([0, 1, 0, 1, 0]), k=3)
 
 
