@@ -15,7 +15,6 @@ idf = ln(N / df).
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from collections import Counter
@@ -24,6 +23,7 @@ from importlib import resources
 
 import numpy as np
 
+from .codec import foreign, read_json, write_json
 from .errors import DataError
 from .ingest import PostRow, QARecord, UserRow
 from .textprep import (
@@ -96,44 +96,19 @@ def fit_tfidf(corpus: list[list[str]]) -> TfIdfModel:
     return TfIdfModel(vocabulary=vocabulary, df=df, n_docs=len(corpus))
 
 
-TFIDF_SCHEMA_VERSION = 1
-
-
-def tfidf_to_dict(model: TfIdfModel) -> dict:
-    terms = sorted(model.vocabulary, key=model.vocabulary.get)
-    return {
-        "schema_version": TFIDF_SCHEMA_VERSION,
-        "kind": "tfidf",
-        "terms": terms,
-        "df": [int(v) for v in model.df],
-        "n_docs": model.n_docs,
-    }
-
-
-def tfidf_from_dict(payload: dict) -> TfIdfModel:
-    if payload.get("schema_version") != TFIDF_SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported tfidf schema version: {payload.get('schema_version')!r}"
-        )
-    terms = payload["terms"]
-    return TfIdfModel(
-        vocabulary={t: i for i, t in enumerate(terms)},
-        df=np.asarray(payload["df"], dtype=np.int64),
-        n_docs=int(payload["n_docs"]),
-    )
-
-
 def save_tfidf(model: TfIdfModel, path) -> None:
-    # dumps takes the C encoder, which dump with a file never does
-    text = json.dumps(tfidf_to_dict(model), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    terms = sorted(model.vocabulary, key=model.vocabulary.get)
+    payload = {"terms": terms, "df": [int(v) for v in model.df], "n_docs": model.n_docs}
+    write_json(path, payload, kind="tfidf", compact=True)
 
 
 def load_tfidf(path) -> TfIdfModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tfidf_from_dict(json.load(fh))
+    payload = read_json(path, "features", "tfidf")
+    return TfIdfModel(
+        vocabulary={t: i for i, t in enumerate(payload["terms"])},
+        df=np.asarray(payload["df"], dtype=np.int64),
+        n_docs=int(payload["n_docs"]),
+    )
 
 
 def tfidf_vector(model: TfIdfModel, doc: list[str]) -> dict[int, float]:
@@ -404,9 +379,9 @@ def write_features_csv(matrix: FeatureMatrix, path) -> None:
 def read_features_csv(path) -> FeatureMatrix:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header[:-1]) != FEATURE_NAMES or header[-1] != "label":
-            raise DataError(f"unexpected features header: {header}")
+            raise foreign(path, "features", "features")
         rows, labels = [], []
         for rec in reader:
             rows.append([float(v) for v in rec[:-1]])

@@ -16,16 +16,14 @@ process.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .codec import read_json, write_json
 from .errors import DataError
 from .seeding import derive_seed
-
-MODEL_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -312,10 +310,8 @@ def forest_predict_proba(model: ForestModel, x) -> np.ndarray:
     return acc / len(model.trees)
 
 
-def forest_to_dict(model: ForestModel) -> dict:
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "kind": "random-forest",
+def save_forest(model: ForestModel, path) -> None:
+    payload = {
         "params": asdict(model.params),
         "n_features": model.n_features,
         "feature_names": list(model.feature_names) if model.feature_names else None,
@@ -332,15 +328,11 @@ def forest_to_dict(model: ForestModel) -> dict:
             for t in model.trees
         ],
     }
+    write_json(path, payload, kind="random-forest", compact=True)
 
 
-def forest_from_dict(payload: dict) -> ForestModel:
-    version = payload.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema version: {version!r}")
-    if payload.get("kind") != "random-forest":
-        raise DataError(f"not a forest model file: kind={payload.get('kind')!r}")
-    params = RfParams(**payload["params"])
+def load_forest(path) -> ForestModel:
+    payload = read_json(path, "train", "random-forest")
     d = int(payload["n_features"])
     trees = [
         DecisionTree(
@@ -355,22 +347,10 @@ def forest_from_dict(payload: dict) -> ForestModel:
     ]
     names = payload.get("feature_names")
     return ForestModel(
-        params=params,
+        params=RfParams(**payload["params"]),
         trees=trees,
         oob_error=float(payload["oob_error"]),
         importances=np.asarray(payload["importances"], dtype=np.float64),
         n_features=d,
         feature_names=tuple(names) if names else None,
     )
-
-
-def save_forest(model: ForestModel, path) -> None:
-    # dumps takes the C encoder, which dump with a file never does
-    text = json.dumps(forest_to_dict(model), sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def load_forest(path) -> ForestModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return forest_from_dict(json.load(fh))

@@ -3,7 +3,8 @@
 Dump files (`Posts.xml`, `Users.xml`) hold one `<row .../>` element per
 record under a single root.  Rows are streamed with constant memory,
 decoded into typed records, filtered by tag/year/acceptance rules, and
-persisted as newline-delimited JSON (`dataset.jsonl`, schema v1).
+persisted as newline-delimited JSON (`dataset.jsonl`), each line carrying
+the work directory's schema version as `v`.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
+from .codec import SCHEMA_VERSION, foreign
 from .errors import DataError
-
-DATASET_SCHEMA_VERSION = 1
 
 _TAG_RE = re.compile(r"<([^<>]+)>")
 
@@ -366,7 +366,7 @@ def write_dataset(records: list[QARecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             obj = {
-                "v": DATASET_SCHEMA_VERSION,
+                "v": SCHEMA_VERSION,
                 "question": _post_to_json(rec.question, question=True),
                 "answers": [
                     {
@@ -388,12 +388,8 @@ def read_dataset(path) -> list[QARecord]:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            version = obj.get("v")
-            if version != DATASET_SCHEMA_VERSION:
-                raise DataError(
-                    f"line {line_no}: schema v{version!r}, "
-                    f"expected v{DATASET_SCHEMA_VERSION}"
-                )
+            if obj.get("v") != SCHEMA_VERSION:
+                raise foreign(f"{path} line {line_no}", "dataset", "ingest")
             answers = [
                 AnswerEntry(
                     post=_post_from_json(a, "answer"),

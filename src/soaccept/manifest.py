@@ -6,7 +6,8 @@ file it wrote.  Before a stage runs, `ensure_fresh` checks every earlier
 stage's record against the settings and the files, and fails with the
 stage to rerun.  Files are named by their label, a path relative to the
 work directory with `{}` for the sampler, as in
-``models/{}/model.rf.json``.
+``models/{}/model.rf.json``.  `codec` writes every JSON file, this one
+included; this one is read here, with its own checks.
 
 Inside `digest_memo()`, each file is hashed once: its digest is kept,
 keyed on the file's (device, inode, size, mtime), and trusted for the
@@ -21,6 +22,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .codec import SCHEMA_VERSION, write_json
 from .errors import StageError
 from .settings import RunConfig
 
@@ -44,17 +46,6 @@ _STAGES = {
 def artifact(cfg: RunConfig, label: str) -> Path:
     """The work-directory file or directory that `label` names."""
     return Path(cfg.workdir, label.format(cfg.sampler))
-
-
-def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_json(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _sha256_file(path) -> str:
@@ -108,16 +99,18 @@ def _fingerprint(stage: str, cfg: RunConfig) -> str:
 
 def _load_manifest(path: Path) -> dict:
     if not path.exists():
-        return {"schema_version": 1, "stages": {}}
+        return {"stages": {}}
     try:
-        manifest = read_json(path)
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
     except ValueError:  # not JSON, or not UTF-8
         manifest = None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         raise StageError("manifest.json is corrupt; remove it and rerun ingest")
-    if manifest.get("schema_version") != 1:
+    if manifest.get("schema_version") != SCHEMA_VERSION:
         raise StageError(
-            f"manifest schema {manifest.get('schema_version')!r} is not supported"
+            f"manifest schema {manifest.get('schema_version')!r} is not supported;"
+            " remove it and rerun ingest"
         )
     return manifest
 

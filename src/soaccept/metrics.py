@@ -8,16 +8,14 @@ files are byte-deterministic for identical inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import write_json
 from .errors import DataError
 from .features import format_value
-
-METRICS_SCHEMA_VERSION = 1
 
 # Full-corpus baseline (249,588 answers); desk-scale runs are not
 # expected to land on these, they are printed alongside for context.
@@ -348,7 +346,6 @@ def _roc_svg(report: EvalReport) -> str:
 
 def report_to_dict(report: EvalReport) -> dict:
     payload = {
-        "schema_version": METRICS_SCHEMA_VERSION,
         "evals": [
             {
                 "model": ev.model,
@@ -392,12 +389,10 @@ def emit_report(report: EvalReport, out_dir) -> list:
         "report.md": _report_markdown(report),
         "roc.csv": _roc_csv(report),
         "roc.svg": _roc_svg(report),
-        "metrics.json": json.dumps(report_to_dict(report), indent=2,
-                                   sort_keys=True, ensure_ascii=False) + "\n",
     }
-    written = []
-    for name in sorted(files):
-        path = out / name
-        path.write_text(files[name], encoding="utf-8")
-        written.append(path)
+    written = [out / "metrics.json"]
+    write_json(written[0], report_to_dict(report))
+    for name, text in files.items():
+        written.append(out / name)
+        written[-1].write_text(text, encoding="utf-8")
     return written

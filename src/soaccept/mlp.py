@@ -10,15 +10,14 @@ the model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .codec import read_json, write_json
 from .errors import DataError
 from .seeding import derive_seed
 
-MODEL_SCHEMA_VERSION = 1
 N_HIDDEN_LAYERS = 5
 
 
@@ -240,24 +239,19 @@ def mlp_predict_proba(model: MlpModel, x) -> np.ndarray:
     return _sigmoid(z_out).ravel()
 
 
-def mlp_to_dict(model: MlpModel) -> dict:
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "kind": "mlp",
+def save_mlp(model: MlpModel, path) -> None:
+    payload = {
         "config": asdict(model.config),
         "n_features": model.n_features,
         "weights": [[[float(v) for v in row] for row in w] for w in model.weights],
         "biases": [[float(v) for v in b] for b in model.biases],
         "loss_history": [float(v) for v in model.loss_history],
     }
+    write_json(path, payload, kind="mlp", compact=True)
 
 
-def mlp_from_dict(payload: dict) -> MlpModel:
-    version = payload.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema version: {version!r}")
-    if payload.get("kind") != "mlp":
-        raise DataError(f"not an mlp model file: kind={payload.get('kind')!r}")
+def load_mlp(path) -> MlpModel:
+    payload = read_json(path, "train", "mlp")
     return MlpModel(
         weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
         biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
@@ -265,15 +259,3 @@ def mlp_from_dict(payload: dict) -> MlpModel:
         n_features=int(payload["n_features"]),
         loss_history=tuple(payload["loss_history"]),
     )
-
-
-def save_mlp(model: MlpModel, path) -> None:
-    # dumps takes the C encoder, which dump with a file never does
-    text = json.dumps(mlp_to_dict(model), sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def load_mlp(path) -> MlpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mlp_from_dict(json.load(fh))

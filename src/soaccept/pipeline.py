@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, StageError
+from .codec import read_json, write_json
+from .errors import ConfigError, DataError
 from .features import (
     FEATURE_NAMES,
     analyze_records,
@@ -60,10 +61,8 @@ from .manifest import (
     digest_memo,
     dump_digests,
     ensure_fresh,
-    read_json,
     record_stage,
     verify_chain,
-    write_json,
 )
 from .metrics import EvalReport, emit_report, evaluate_model
 from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
@@ -116,7 +115,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
         raise DataError("no questions survived the ingest filters")
     outputs = [artifact(cfg, "dataset.jsonl"), artifact(cfg, "ingest_report.json")]
     write_dataset(records, outputs[0])
-    write_json(outputs[1], {"schema_version": 1, **report})
+    write_json(outputs[1], report)
     record_stage(cfg, "ingest", dump_digests(cfg), outputs)
     return report
 
@@ -136,14 +135,12 @@ def cmd_features(cfg: RunConfig) -> dict:
                ("features.csv", "tfidf.json", "feature_stats.json")]
     write_features_csv(matrix, outputs[0])
     save_tfidf(tfidf, outputs[1])
-    stats = {
-        "schema_version": 1,
+    stats = write_json(outputs[2], {
         "n_rows": int(matrix.x.shape[0]),
         "n_questions": int(np.unique(matrix.question_ids).size),
         "n_accepted": int(matrix.y.sum()),
         "stats": matrix.stats,
-    }
-    write_json(outputs[2], stats)
+    })
     record_stage(cfg, "features", inputs, outputs)
     return stats
 
@@ -169,16 +166,17 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
         )
     except DataError as exc:
         raise DataError(f"feature selection failed: {exc}") from exc
-    report = selection_report(result, corr, ig, d["r_threshold"], d["ig_threshold"])
     path = artifact(cfg, "selection.json")
-    write_json(path, report)
+    report = write_json(
+        path, selection_report(result, corr, ig, d["r_threshold"], d["ig_threshold"])
+    )
     record_stage(cfg, "select", inputs, [path])
     return report
 
 
 def _read_selection(cfg: RunConfig, matrix):
     """selection.json, the features it retains, and `matrix`'s columns of them."""
-    selection = read_json(artifact(cfg, "selection.json"))
+    selection = read_json(artifact(cfg, "selection.json"), "select")
     retained = selection.get("retained", [])
     if not retained:
         raise DataError("feature selection retained no features; lower the thresholds")
@@ -278,40 +276,35 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     outputs = [artifact(cfg, "models/{}/model.rf.json"), artifact(cfg, "models/{}/model.mlp.json")]
     save_forest(forest, outputs[0])
     save_mlp(mlp, outputs[1])
+    # label -> (kind, payload)
     payloads = {
-        "models/{}/scaler.json": {
-            "schema_version": 1,
-            "kind": "scaler",
+        "models/{}/scaler.json": ("scaler", {
             "names": list(retained),
             "mean": scaler.mean.tolist(),
             "sd": scaler.sd.tolist(),
-        },
-        "models/{}/medians.json": {
-            "schema_version": 1,
-            "kind": "medians",
+        }),
+        "models/{}/medians.json": ("medians", {
             "names": list(FEATURE_NAMES),
             "values": medians.tolist(),
-        },
-        "models/{}/split.json": {
-            "schema_version": 1,
+        }),
+        "models/{}/split.json": (None, {
             "train_fraction": spec.train_fraction,
             "train": train_idx.tolist(),
             "test": test_idx.tolist(),
-        },
+        }),
     }
     if search_result is None:
         # a search.json left by an earlier, searching train would describe
         # another forest than the one beside it
         artifact(cfg, "models/{}/search.json").unlink(missing_ok=True)
     else:
-        payloads["models/{}/search.json"] = {
-            "schema_version": 1,
+        payloads["models/{}/search.json"] = (None, {
             "best": {k: v for k, v in asdict(params).items() if k != "seed"},
             "trials": search_result.trials,
-        }
-    for label, payload in payloads.items():
+        })
+    for label, (kind, payload) in payloads.items():
         outputs.append(artifact(cfg, label))
-        write_json(outputs[-1], payload)
+        write_json(outputs[-1], payload, kind)
     record_stage(cfg, "train", inputs, outputs)
     return {
         "train_rows": int(len(train_idx)),
@@ -324,10 +317,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
 
 
 def _load_scaler(cfg: RunConfig) -> Scaler:
-    path = artifact(cfg, "models/{}/scaler.json")
-    payload = read_json(path)
-    if payload.get("schema_version") != 1 or payload.get("kind") != "scaler":
-        raise StageError(f"{path} is not a scaler artifact; run train first")
+    payload = read_json(artifact(cfg, "models/{}/scaler.json"), "train", "scaler")
     return Scaler(
         mean=np.asarray(payload["mean"], dtype=np.float64),
         sd=np.asarray(payload["sd"], dtype=np.float64),
@@ -345,7 +335,7 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
     selection, retained, x = _read_selection(cfg, matrix)
     y = matrix.y.astype(np.int8)
 
-    split = read_json(artifact(cfg, "models/{}/split.json"))
+    split = read_json(artifact(cfg, "models/{}/split.json"), "train")
     test_idx = np.asarray(split["test"], dtype=np.int64)
     train_rows = len(split["train"])
     x_test, y_test = x[test_idx], y[test_idx]
@@ -550,7 +540,7 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
     if matrix.x.shape[0] != n:
         raise DataError("candidate rows were dropped during extraction")
 
-    medians = read_json(artifact(cfg, "models/{}/medians.json"))
+    medians = read_json(artifact(cfg, "models/{}/medians.json"), "train", "medians")
     median_of = dict(zip(medians["names"], medians["values"]))
     col_of = {name: j for j, name in enumerate(matrix.names)}
     for i, names in enumerate(imputed):

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import hashlib
 import importlib
 import inspect
 import json
@@ -222,6 +223,74 @@ def test_corrupt_manifest_exits_4(tmp_path, capsys, text):
     (wd / "manifest.json").write_text(text, encoding="utf-8")
     assert run_cli("features", *common(wd)) == 4
     assert "manifest.json is corrupt; remove it and rerun ingest" in capsys.readouterr().err
+
+
+def test_unsupported_manifest_schema_names_the_remedy(tmp_path, capsys):
+    wd = tmp_path / "wd"
+    assert run_cli("ingest", *common(wd)) == 0
+    manifest = json.loads((wd / "manifest.json").read_text("utf-8"))
+    (wd / "manifest.json").write_text(json.dumps(dict(manifest, schema_version=2)), "utf-8")
+    assert run_cli("features", *common(wd)) == 4
+    assert capsys.readouterr().err == (
+        "error: manifest schema 2 is not supported; remove it and rerun ingest\n"
+    )
+
+
+def _edit_json(drop=(), **changes):
+    """An edit of a JSON file: drop the keys in `drop`, set `changes`."""
+    def edit(text):
+        doc = {k: v for k, v in json.loads(text).items() if k not in drop}
+        return json.dumps({**doc, **changes}, indent=2, sort_keys=True)
+    return edit
+
+
+def _redigest(wd: Path, rel: str) -> None:
+    """Record `rel`'s new digest wherever manifest.json names it, as a work
+    directory that another version of soaccept wrote would carry it."""
+    manifest = json.loads((wd / "manifest.json").read_text("utf-8"))
+    digest = hashlib.sha256((wd / rel).read_bytes()).hexdigest()
+    for entry in manifest["stages"].values():
+        for files in (entry["inputs"], entry["outputs"]):
+            if rel in files:
+                files[rel] = digest
+    (wd / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), "utf-8")
+
+
+# a file each stage or rank reads, edited as another version would write
+# it; the command that reads it; the stage that writes it
+_FOREIGN = {
+    "tfidf": ("tfidf.json", _edit_json(schema_version=2), "rank", "features"),
+    "rf": ("models/smote/model.rf.json", _edit_json(schema_version=2), "evaluate", "train"),
+    "mlp": ("models/smote/model.mlp.json", _edit_json(schema_version=2), "evaluate", "train"),
+    "scaler": ("models/smote/scaler.json", _edit_json(schema_version=2), "evaluate", "train"),
+    "medians": ("models/smote/medians.json", _edit_json(schema_version=2), "rank", "train"),
+    "medians-kind": ("models/smote/medians.json", _edit_json(kind="scaler"), "rank", "train"),
+    "split": ("models/smote/split.json", _edit_json(schema_version=2), "evaluate", "train"),
+    "split-no-test": ("models/smote/split.json", _edit_json(("test",), schema_version=2),
+                      "evaluate", "train"),
+    "selection": ("selection.json", _edit_json(schema_version=2), "train", "select"),
+    "selection-not-json": ("selection.json", lambda text: text[:20], "train", "select"),
+    # the first record's version; the first header name
+    "dataset": ("dataset.jsonl", lambda text: text.replace('"v": 1', '"v": 2', 1),
+                "features", "ingest"),
+    "features": ("features.csv", lambda text: text.replace("Score", "Score2", 1),
+                 "select", "features"),
+}
+
+
+@pytest.mark.parametrize("rel, edit, command, stage", _FOREIGN.values(), ids=_FOREIGN)
+def test_file_from_another_version_exits_4(cli_dir, tmp_path, capsys, rel, edit, command,
+                                           stage):
+    wd = tmp_path / "wd"
+    shutil.copytree(cli_dir, wd)
+    path = wd / rel
+    path.write_text(edit(path.read_text("utf-8")), encoding="utf-8")
+    _redigest(wd, rel)
+    extra = ["--input", write_request(tmp_path, rank_request())] if command == "rank" else []
+    assert run_cli(command, *common(wd), *extra) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    assert err.endswith(f"; run {stage} first\n"), err
 
 
 def _edited_dump(tmp_path, dump, row_id, attribute, value):

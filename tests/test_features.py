@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soaccept.errors import DataError
+from soaccept.errors import DataError, StageError
 from soaccept.features import (
     FEATURE_NAMES,
     analyze_records,
@@ -16,7 +16,6 @@ from soaccept.features import (
     fit_tfidf,
     load_tfidf,
     save_tfidf,
-    tfidf_from_dict,
     format_value,
     load_keywords,
     load_polarity_lexicon,
@@ -350,8 +349,18 @@ def test_tfidf_round_trip_preserves_weights(tmp_path):
     first = path.read_bytes()
     save_tfidf(loaded, path)
     assert path.read_bytes() == first
-    with pytest.raises(DataError, match="schema"):
-        tfidf_from_dict({"schema_version": 7})
+
+
+@pytest.mark.parametrize("old, new", [('"schema_version":1', '"schema_version":7'),
+                                      ('"kind":"tfidf"', '"kind":"mlp"')])
+def test_tfidf_schema_checks(tmp_path, old, new):
+    path = tmp_path / "tfidf.json"
+    save_tfidf(fit_tfidf([["cat", "dog"], ["bird"]]), path)
+    text = path.read_text("utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(StageError, match="not a tfidf artifact; run features first"):
+        load_tfidf(path)
 
 
 def _echo_record(qid, q_topic, echo, other):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _synth import make_planted
-from soaccept.errors import DataError
+from soaccept.errors import DataError, StageError
 from soaccept.forest import (
     _best_split,
     DecisionTree,
@@ -15,9 +15,7 @@ from soaccept.forest import (
     fit_forest,
     fit_tree,
     fit_trees,
-    forest_from_dict,
     forest_predict_proba,
-    forest_to_dict,
     load_forest,
     n_sub_features,
     save_forest,
@@ -259,18 +257,23 @@ def test_no_bootstrap_has_no_oob_rows():
     assert model.oob_error == 0.0
 
 
-def test_fit_is_deterministic_and_thread_invariant():
+def _saved(model, path) -> bytes:
+    save_forest(model, path)
+    return path.read_bytes()
+
+
+def test_fit_is_deterministic_and_thread_invariant(tmp_path):
     x, y = make_planted(150, seed=9)
     params = RfParams(n_estimators=6, max_depth=5, min_samples_split=2,
                       min_samples_leaf=1, seed=21)
-    one = forest_to_dict(fit_forest(x, y, params))
-    two = forest_to_dict(fit_forest(x, y, params))
-    assert one == two
+    path = tmp_path / "model.rf.json"
+    one = _saved(fit_forest(x, y, params), path)
+    assert _saved(fit_forest(x, y, params), path) == one
     # the train workers grow blocks of tree indices; any split joined in
     # index order gives the same forest (test_pipeline checks the pool)
     for blocks in ([range(6)], [range(3), range(3, 6)], [[0], [], range(1, 5), [5]]):
         fitted = [pair for block in blocks for pair in fit_trees(x, y, params, block)]
-        assert forest_to_dict(fit_forest(x, y, params, fitted)) == one
+        assert _saved(fit_forest(x, y, params, fitted), path) == one
 
 
 def test_scaling_a_column_preserves_structure_and_predictions():
@@ -310,16 +313,14 @@ def test_model_round_trip_is_bit_exact(tmp_path):
 
 def test_model_schema_checks(tmp_path):
     x, y = make_planted(60, seed=4)
-    payload = forest_to_dict(fit_forest(x, y, RfParams(n_estimators=2, max_depth=3)))
-    bad = dict(payload, schema_version=99)
-    with pytest.raises(DataError, match="schema version"):
-        forest_from_dict(bad)
-    bad = dict(payload, kind="mlp")
-    with pytest.raises(DataError, match="kind"):
-        forest_from_dict(bad)
     path = tmp_path / "model.rf.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    save_forest(fit_forest(x, y, RfParams(n_estimators=2, max_depth=3)), path)
+    payload = json.loads(path.read_text("utf-8"))
     assert load_forest(path).n_features == payload["n_features"]
+    for bad in (dict(payload, schema_version=99), dict(payload, kind="mlp")):
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(StageError, match="not a random-forest artifact; run train first"):
+            load_forest(path)
 
 
 def test_predict_rejects_wrong_width():

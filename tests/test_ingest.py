@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soaccept.errors import DataError
+from soaccept.errors import StageError
 from soaccept.ingest import (
     DecodeError,
     IngestFilter,
@@ -405,5 +405,5 @@ def test_dataset_schema_fields(tmp_path):
 def test_dataset_version_mismatch(tmp_path):
     path = tmp_path / "dataset.jsonl"
     path.write_text('{"v": 99, "question": {}, "answers": []}\n')
-    with pytest.raises(DataError, match="schema v"):
+    with pytest.raises(StageError, match="line 1 is not a dataset artifact; run ingest first"):
         read_dataset(path)

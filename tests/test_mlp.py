@@ -7,7 +7,7 @@ import pytest
 
 from _synth import make_blobs, max_relative_error, numeric_gradients
 from soaccept import mlp
-from soaccept.errors import DataError
+from soaccept.errors import DataError, StageError
 from soaccept.mlp import (
     DivergenceError,
     MlpConfig,
@@ -19,9 +19,7 @@ from soaccept.mlp import (
     init_parameters,
     load_mlp,
     loss_and_gradients,
-    mlp_from_dict,
     mlp_predict_proba,
-    mlp_to_dict,
     save_mlp,
 )
 from soaccept.seeding import derive_seed
@@ -271,11 +269,15 @@ def test_blow_up_on_the_last_batch_raises(monkeypatch):
     assert remaining[0] == 0
 
 
-def test_training_is_deterministic():
+def test_training_is_deterministic(tmp_path):
     x, y = make_blobs(50, seed=8)
     cfg = MlpConfig(hidden=(5, 4, 3, 3, 2), learning_rate=0.3, batch_size=8,
                     epochs=15, seed=9)
-    assert mlp_to_dict(fit_mlp(x, y, cfg)) == mlp_to_dict(fit_mlp(x, y, cfg))
+    saved = []
+    for name in ("one.json", "two.json"):
+        save_mlp(fit_mlp(x, y, cfg), tmp_path / name)
+        saved.append((tmp_path / name).read_bytes())
+    assert saved[0] == saved[1]
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):
@@ -294,16 +296,18 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_model_schema_checks():
+def test_model_schema_checks(tmp_path):
     x, y = make_blobs(30, seed=12)
     cfg = MlpConfig(hidden=(4, 3, 3, 2, 2), learning_rate=0.2, batch_size=8,
                     epochs=3, seed=13)
-    payload = mlp_to_dict(fit_mlp(x, y, cfg))
-    assert json.dumps(payload)  # serializable
-    with pytest.raises(DataError, match="schema version"):
-        mlp_from_dict(dict(payload, schema_version=9))
-    with pytest.raises(DataError, match="kind"):
-        mlp_from_dict(dict(payload, kind="random-forest"))
+    path = tmp_path / "model.mlp.json"
+    save_mlp(fit_mlp(x, y, cfg), path)
+    payload = json.loads(path.read_text("utf-8"))
+    assert load_mlp(path).n_features == payload["n_features"]
+    for bad in (dict(payload, schema_version=9), dict(payload, kind="random-forest")):
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(StageError, match="not a mlp artifact; run train first"):
+            load_mlp(path)
 
 
 def test_predict_rejects_wrong_width():

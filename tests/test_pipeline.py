@@ -225,6 +225,20 @@ def test_manifest_has_no_timestamps_and_all_stages(run_dir):
             assert len(digest) == 64
 
 
+def test_every_json_file_carries_the_schema_version(run_dir):
+    kinds = {}
+    for path in sorted(run_dir.rglob("*.json")):
+        doc = json.loads(path.read_text("utf-8"))
+        assert doc["schema_version"] == 1, path
+        if "kind" in doc:
+            kinds[path.name] = doc["kind"]
+    assert kinds == {"tfidf.json": "tfidf", "model.rf.json": "random-forest",
+                     "model.mlp.json": "mlp", "scaler.json": "scaler",
+                     "medians.json": "medians"}
+    with open(run_dir / "dataset.jsonl", encoding="utf-8") as fh:
+        assert {json.loads(line)["v"] for line in fh} == {1}
+
+
 def test_rerunning_one_stage_is_byte_stable(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     before = (wd / "selection.json").read_bytes()
