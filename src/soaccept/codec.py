@@ -1,10 +1,11 @@
 """The JSON encoding of every work-directory file, and its schema version.
 
 `write_json` stamps a document with `SCHEMA_VERSION`, and its `kind`
-when it has one, and writes it with sorted keys.  `read_json` returns a
-document only if it carries this version and the kind asked for;
-anything else, such as a file that another version of soaccept wrote,
-fails with exit 4 and the stage to rerun (`foreign`), never misread.
+when it has one, and writes it with sorted keys.  The version that gates
+a whole work directory is `manifest.json`'s, which every command checks
+first.  `read_artifact` also checks the version and kind of the files
+that carry a kind, and `foreign` is its exit-4 error, naming the stage
+to rerun; `read_json` reads any other file as it stands.
 """
 
 from __future__ import annotations
@@ -21,31 +22,38 @@ def foreign(path, kind: str, stage: str) -> StageError:
     return StageError(f"{path} is not a {kind} artifact; run {stage} first")
 
 
-def write_json(path, payload: dict, kind: str | None = None, compact: bool = False) -> dict:
-    """Write `payload`, stamped, to `path`, and return what was written.
+def write_json(path, payload: dict, kind: str | None = None, compact: bool = False,
+               versioned: bool = True) -> dict:
+    """Write `payload`, stamped unless not `versioned`, to `path`, and return
+    what was written.
 
     Indented by 2, or on one line if `compact` (the model files); dumps
-    takes the C encoder there, which dump with a file never does.
+    takes the C encoder there, which dump with a file never does, and
+    dump keeps an indented file from being held whole as text.
     """
-    document = {**payload, "schema_version": SCHEMA_VERSION}
+    document = {**payload, "schema_version": SCHEMA_VERSION} if versioned else dict(payload)
     if kind is not None:
         document["kind"] = kind
-    layout = {"separators": (",", ":")} if compact else {"indent": 2}
-    text = json.dumps(document, sort_keys=True, ensure_ascii=False, **layout)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        if compact:
+            fh.write(json.dumps(document, sort_keys=True, ensure_ascii=False,
+                                separators=(",", ":")))
+        else:
+            json.dump(document, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
     return document
 
 
-def read_json(path, stage: str, kind: str | None = None) -> dict:
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_artifact(path, kind: str, stage: str) -> dict:
     """The document at `path` if this version wrote it as a `kind` file;
     otherwise `foreign`, naming `stage`, the stage that writes it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except ValueError:  # not JSON, or not UTF-8
-        document = None
+    document = read_json(path)
     if (not isinstance(document, dict) or document.get("schema_version") != SCHEMA_VERSION
             or document.get("kind") != kind):
-        raise foreign(path, kind or f"version-{SCHEMA_VERSION}", stage)
+        raise foreign(path, kind, stage)
     return document

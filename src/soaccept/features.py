@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .codec import foreign, read_json, write_json
+from .codec import foreign, read_artifact, write_json
 from .errors import DataError
 from .ingest import PostRow, QARecord, UserRow
 from .textprep import (
@@ -103,7 +103,7 @@ def save_tfidf(model: TfIdfModel, path) -> None:
 
 
 def load_tfidf(path) -> TfIdfModel:
-    payload = read_json(path, "features", "tfidf")
+    payload = read_artifact(path, "tfidf", "features")
     return TfIdfModel(
         vocabulary={t: i for i, t in enumerate(payload["terms"])},
         df=np.asarray(payload["df"], dtype=np.int64),

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import read_json, write_json
+from .codec import read_artifact, write_json
 from .errors import DataError
 from .seeding import derive_seed
 
@@ -332,7 +332,7 @@ def save_forest(model: ForestModel, path) -> None:
 
 
 def load_forest(path) -> ForestModel:
-    payload = read_json(path, "train", "random-forest")
+    payload = read_artifact(path, "random-forest", "train")
     d = int(payload["n_features"])
     trees = [
         DecisionTree(

@@ -7,7 +7,8 @@ stage's record against the settings and the files, and fails with the
 stage to rerun.  Files are named by their label, a path relative to the
 work directory with `{}` for the sampler, as in
 ``models/{}/model.rf.json``.  `codec` writes every JSON file, this one
-included; this one is read here, with its own checks.
+included; this one's schema version, checked before any stage runs, is
+the one that gates the whole work directory.
 
 Inside `digest_memo()`, each file is hashed once: its digest is kept,
 keyed on the file's (device, inode, size, mtime), and trusted for the
@@ -22,7 +23,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .codec import SCHEMA_VERSION, write_json
+from .codec import SCHEMA_VERSION, read_json, write_json
 from .errors import StageError
 from .settings import RunConfig
 
@@ -101,8 +102,7 @@ def _load_manifest(path: Path) -> dict:
     if not path.exists():
         return {"stages": {}}
     try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = read_json(path)
     except ValueError:  # not JSON, or not UTF-8
         manifest = None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):

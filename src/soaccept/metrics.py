@@ -389,10 +389,14 @@ def emit_report(report: EvalReport, out_dir) -> list:
         "report.md": _report_markdown(report),
         "roc.csv": _roc_csv(report),
         "roc.svg": _roc_svg(report),
+        "metrics.json": report_to_dict(report),
     }
-    written = [out / "metrics.json"]
-    write_json(written[0], report_to_dict(report))
-    for name, text in files.items():
-        written.append(out / name)
-        written[-1].write_text(text, encoding="utf-8")
+    written = []
+    for name in sorted(files):
+        path = out / name
+        if name == "metrics.json":
+            write_json(path, files[name])
+        else:
+            path.write_text(files[name], encoding="utf-8")
+        written.append(path)
     return written

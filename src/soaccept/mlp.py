@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import read_json, write_json
+from .codec import read_artifact, write_json
 from .errors import DataError
 from .seeding import derive_seed
 
@@ -251,7 +251,7 @@ def save_mlp(model: MlpModel, path) -> None:
 
 
 def load_mlp(path) -> MlpModel:
-    payload = read_json(path, "train", "mlp")
+    payload = read_artifact(path, "mlp", "train")
     return MlpModel(
         weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
         biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],

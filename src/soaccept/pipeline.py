@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import read_json, write_json
+from .codec import read_artifact, read_json, write_json
 from .errors import ConfigError, DataError
 from .features import (
     FEATURE_NAMES,
@@ -166,17 +166,17 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
         )
     except DataError as exc:
         raise DataError(f"feature selection failed: {exc}") from exc
+    report = selection_report(result, corr, ig, d["r_threshold"], d["ig_threshold"])
     path = artifact(cfg, "selection.json")
-    report = write_json(
-        path, selection_report(result, corr, ig, d["r_threshold"], d["ig_threshold"])
-    )
+    # selection.json has never carried a version; manifest.json's gates it
+    write_json(path, report, versioned=False)
     record_stage(cfg, "select", inputs, [path])
     return report
 
 
 def _read_selection(cfg: RunConfig, matrix):
     """selection.json, the features it retains, and `matrix`'s columns of them."""
-    selection = read_json(artifact(cfg, "selection.json"), "select")
+    selection = read_json(artifact(cfg, "selection.json"))
     retained = selection.get("retained", [])
     if not retained:
         raise DataError("feature selection retained no features; lower the thresholds")
@@ -317,7 +317,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
 
 
 def _load_scaler(cfg: RunConfig) -> Scaler:
-    payload = read_json(artifact(cfg, "models/{}/scaler.json"), "train", "scaler")
+    payload = read_artifact(artifact(cfg, "models/{}/scaler.json"), "scaler", "train")
     return Scaler(
         mean=np.asarray(payload["mean"], dtype=np.float64),
         sd=np.asarray(payload["sd"], dtype=np.float64),
@@ -335,7 +335,7 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
     selection, retained, x = _read_selection(cfg, matrix)
     y = matrix.y.astype(np.int8)
 
-    split = read_json(artifact(cfg, "models/{}/split.json"), "train")
+    split = read_json(artifact(cfg, "models/{}/split.json"))
     test_idx = np.asarray(split["test"], dtype=np.int64)
     train_rows = len(split["train"])
     x_test, y_test = x[test_idx], y[test_idx]
@@ -540,7 +540,7 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
     if matrix.x.shape[0] != n:
         raise DataError("candidate rows were dropped during extraction")
 
-    medians = read_json(artifact(cfg, "models/{}/medians.json"), "train", "medians")
+    medians = read_json(artifact(cfg, "models/{}/medians.json"))
     median_of = dict(zip(medians["names"], medians["values"]))
     col_of = {name: j for j, name in enumerate(matrix.names)}
     for i, names in enumerate(imputed):
