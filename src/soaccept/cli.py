@@ -13,6 +13,7 @@ import json
 import sys
 
 from .errors import ConfigError, DataError, StageError
+from .metrics import accuracy, mcc
 from .pipeline import (
     cmd_evaluate,
     cmd_features,
@@ -98,16 +99,17 @@ def main(argv=None) -> int:
             print(f"retained {len(selection['retained'])} features")
         elif args.command == "train":
             summary = cmd_train(cfg)
+            oob = summary["oob_error"]
             print(
                 f"trained on {summary['resampled_rows']} resampled rows"
-                f" (oob error {summary['oob_error']:.4f})"
+                f" (oob error {'undefined' if oob is None else f'{oob:.4f}'})"
             )
         elif args.command == "evaluate":
             report = cmd_evaluate(cfg)
             for ev in report.evals:
                 print(
-                    f"{ev.model}/{ev.sampler}: accuracy {ev.accuracy:.4f}"
-                    f" mcc {ev.mcc:.4f} auc {ev.roc.auc:.4f}"
+                    f"{ev.model}/{ev.sampler}: accuracy {accuracy(ev.cm):.4f}"
+                    f" mcc {mcc(ev.cm):.4f} auc {ev.roc.auc:.4f}"
                 )
         elif args.command == "run":
             summary = cmd_run(cfg)

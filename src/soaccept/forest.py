@@ -74,7 +74,7 @@ class DecisionTree:
 class ForestModel:
     params: RfParams
     trees: list[DecisionTree]
-    oob_error: float
+    oob_error: float | None  # None when no row is out of any bag
     importances: np.ndarray  # (d,), nonnegative, sums to 1
     n_features: int
     feature_names: tuple[str, ...] | None = None
@@ -252,7 +252,8 @@ def fit_forest(x, y, params: RfParams, fitted=None) -> ForestModel:
     the `fit_trees` pairs of tree indices 0, 1, ... in order, grown
     elsewhere; by default every tree is grown here.  OOB error is the
     misclassification rate over rows voted on only by trees whose
-    bootstrap missed them; rows in every bag are excluded.
+    bootstrap missed them; rows in every bag are excluded.  With
+    `bootstrap` false every row is, so the error is None: undefined, not 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -277,11 +278,10 @@ def fit_forest(x, y, params: RfParams, fitted=None) -> ForestModel:
             oob_sum[out] += tree_predict_proba1(tree, x[out])
             oob_votes[out] += 1
     voted = oob_votes > 0
+    oob_error = None
     if voted.any():
         pred = (oob_sum[voted] / oob_votes[voted]) >= 0.5
         oob_error = float(np.mean(pred.astype(np.int64) != y[voted]))
-    else:
-        oob_error = 0.0
 
     raw = np.zeros(d)
     for tree in trees:
@@ -349,7 +349,7 @@ def load_forest(path) -> ForestModel:
     return ForestModel(
         params=RfParams(**payload["params"]),
         trees=trees,
-        oob_error=float(payload["oob_error"]),
+        oob_error=payload["oob_error"],
         importances=np.asarray(payload["importances"], dtype=np.float64),
         n_features=d,
         feature_names=tuple(names) if names else None,

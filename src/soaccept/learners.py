@@ -158,7 +158,7 @@ def random_search(x, y, space: SearchSpace, plan: ResamplePlan) -> SearchResult:
     return SearchResult(best=best, trials=tuple(trials))
 
 
-def permutation_importance(predict_proba, x, y, seed: int, n_rounds: int = 5):
+def permutation_importance(predict_proba, x, y, seed: int, n_rounds: int):
     """Mean accuracy drop when one column is shuffled.
 
     A drop at or below two binomial standard errors of the base accuracy,
@@ -204,8 +204,8 @@ def normalized_importance_report(
     mlp_model: MlpModel,
     x_test_scaled,
     y_test,
-    seed: int = 0,
-    n_rounds: int = 5,
+    seed: int,
+    n_rounds: int,
 ) -> ImportanceReport:
     """Per-feature weight columns for both models, each summing to 1.
 

@@ -1,9 +1,12 @@
 """Binary-classification metrics and report emission.
 
 Accepted answers are the positive class throughout.  Rates with a zero
-denominator come back as 0.0 together with a defined/undefined flag, so
-downstream tables can mark them rather than hide them.  All emitted
-files are byte-deterministic for identical inputs.
+denominator come back as 0.0.  `report_to_dict` builds one record per
+evaluated model, the metrics.json document, which carries each number
+once together with the defined/undefined flag of each rate; report.md is
+rendered from that record, so its tables mark an undefined rate rather
+than hide it.  All emitted files are byte-deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -74,17 +77,9 @@ def precision(cm: ConfusionMatrix) -> float:
     return cm.tp / denom if denom else 0.0
 
 
-def precision_defined(cm: ConfusionMatrix) -> bool:
-    return cm.tp + cm.fp > 0
-
-
 def recall(cm: ConfusionMatrix) -> float:
     denom = cm.tp + cm.fn
     return cm.tp / denom if denom else 0.0
-
-
-def recall_defined(cm: ConfusionMatrix) -> bool:
-    return cm.tp + cm.fn > 0
 
 
 def mcc(cm: ConfusionMatrix) -> float:
@@ -144,28 +139,12 @@ def roc(y_true, scores) -> RocCurve:
 
 @dataclass(frozen=True)
 class ModelEval:
-    """Metrics of one model under one sampling method."""
+    """Confusion counts and ROC curve of one model under one sampling method."""
 
     model: str
     sampler: str
     cm: ConfusionMatrix
     roc: RocCurve
-
-    @property
-    def accuracy(self) -> float:
-        return accuracy(self.cm)
-
-    @property
-    def precision(self) -> float:
-        return precision(self.cm)
-
-    @property
-    def recall(self) -> float:
-        return recall(self.cm)
-
-    @property
-    def mcc(self) -> float:
-        return mcc(self.cm)
 
 
 def evaluate_model(model: str, sampler: str, y_true, scores):
@@ -182,9 +161,9 @@ def evaluate_model(model: str, sampler: str, y_true, scores):
 @dataclass
 class EvalReport:
     evals: tuple  # ModelEval entries
-    importance: object = None  # learners.ImportanceReport or None
-    info_gain_bits: dict | None = None  # feature -> bits, optional
-    meta: dict | None = None  # split sizes and similar context
+    importance: object  # learners.ImportanceReport
+    info_gain_bits: dict  # feature -> bits
+    meta: dict  # split sizes and similar context
 
 
 _MODEL_COLORS = {"random-forest": "#1f77b4", "mlp": "#ff7f0e"}
@@ -194,81 +173,61 @@ def _pct(v: float) -> str:
     return f"{100.0 * v:.2f}%"
 
 
-def _metrics_table(report: EvalReport) -> list:
-    lines = [
-        "| Model | Sampler | Accuracy | Precision | Recall | MCC | AUC |",
-        "| --- | --- | --- | --- | --- | --- | --- |",
+def _table(header, rows) -> list:
+    """The lines of a markdown table, then a blank line."""
+    return [
+        "| " + " | ".join(header) + " |",
+        "| " + " | ".join("---" for _ in header) + " |",
+        *("| " + " | ".join(str(cell) for cell in row) + " |" for row in rows),
+        "",
     ]
-    for ev in report.evals:
-        prec = _pct(ev.precision) if precision_defined(ev.cm) else "undefined"
-        rec = _pct(ev.recall) if recall_defined(ev.cm) else "undefined"
-        lines.append(
-            f"| {ev.model} | {ev.sampler} | {_pct(ev.accuracy)} | {prec} | {rec} "
-            f"| {ev.mcc:.3f} | {ev.roc.auc:.3f} |"
-        )
-    return lines
 
 
-def _report_markdown(report: EvalReport) -> str:
+def _report_markdown(doc: dict) -> str:
+    """report.md, every cell read from `doc`, the metrics.json document."""
+    evals, meta, imp = doc["evals"], doc["meta"], doc["importance"]
     lines = ["# Evaluation report", ""]
-    if report.meta:
-        for key in sorted(report.meta):
-            lines.append(f"- {key}: {report.meta[key]}")
-        lines.append("")
-    lines.append("## Test-split metrics")
-    lines.append("")
-    lines.extend(_metrics_table(report))
-    lines.append("")
-    lines.append("## Confusion matrices")
-    lines.append("")
-    lines.append("| Model | Sampler | TP | FP | TN | FN |")
-    lines.append("| --- | --- | --- | --- | --- | --- |")
-    for ev in report.evals:
-        cm = ev.cm
-        lines.append(
-            f"| {ev.model} | {ev.sampler} | {cm.tp} | {cm.fp} | {cm.tn} | {cm.fn} |"
-        )
-    lines.append("")
-    if report.info_gain_bits:
-        lines.append("## Information gain of candidate features (bits)")
-        lines.append("")
-        lines.append("| Feature | Info gain |")
-        lines.append("| --- | --- |")
-        ranked = sorted(report.info_gain_bits.items(), key=lambda kv: (-kv[1], kv[0]))
-        for name, bits in ranked:
-            lines.append(f"| {name} | {bits:.3f} |")
-        lines.append("")
-    if report.importance is not None:
-        imp = report.importance
-        lines.append("## Feature weights of the trained models")
-        lines.append("")
-        lines.append("| Feature | Forest | Network |")
-        lines.append("| --- | --- | --- |")
-        order = sorted(range(len(imp.names)),
-                       key=lambda i: (-imp.forest[i], imp.names[i]))
-        for i in order:
-            lines.append(
-                f"| {imp.names[i]} | {imp.forest[i]:.3f} | {imp.mlp[i]:.3f} |"
-            )
-        lines.append("")
-    lines.append("## Full-corpus reference baseline")
-    lines.append("")
-    lines.append(
-        "Results originally reported for the 249,588-answer corpus; small "
-        "fixture runs are not expected to match them."
+    lines += [f"- {key}: {meta[key]}" for key in sorted(meta)]
+    lines += ["", "## Test-split metrics", ""]
+    lines += _table(
+        ("Model", "Sampler", "Accuracy", "Precision", "Recall", "MCC", "AUC"),
+        [(ev["model"], ev["sampler"], _pct(ev["accuracy"]),
+          _pct(ev["precision"]) if ev["precision_defined"] else "undefined",
+          _pct(ev["recall"]) if ev["recall_defined"] else "undefined",
+          f"{ev['mcc']:.3f}", f"{ev['auc']:.3f}") for ev in evals],
     )
-    lines.append("")
-    lines.append("| Model | Sampler | Accuracy | Precision | Recall | MCC |")
-    lines.append("| --- | --- | --- | --- | --- | --- |")
-    for model in sorted(REFERENCE_RESULTS):
-        for sampler in sorted(REFERENCE_RESULTS[model]):
-            ref = REFERENCE_RESULTS[model][sampler]
-            mcc_cell = f"{ref['mcc']:.2f}" if "mcc" in ref else "-"
-            lines.append(
-                f"| {model} | {sampler} | {_pct(ref['accuracy'])} "
-                f"| {_pct(ref['precision'])} | {_pct(ref['recall'])} | {mcc_cell} |"
-            )
-    lines.append("")
+    lines += ["## Confusion matrices", ""]
+    lines += _table(
+        ("Model", "Sampler", "TP", "FP", "TN", "FN"),
+        [(ev["model"], ev["sampler"], *(ev["confusion"][k] for k in ("tp", "fp", "tn", "fn")))
+         for ev in evals],
+    )
+    lines += ["## Information gain of candidate features (bits)", ""]
+    lines += _table(
+        ("Feature", "Info gain"),
+        [(name, f"{bits:.3f}") for name, bits in
+         sorted(doc["info_gain_bits"].items(), key=lambda kv: (-kv[1], kv[0]))],
+    )
+    lines += ["## Feature weights of the trained models", ""]
+    lines += _table(
+        ("Feature", "Forest", "Network"),
+        [(name, f"{rf:.3f}", f"{nn:.3f}") for name, rf, nn in
+         sorted(zip(imp["names"], imp["forest"], imp["mlp"]), key=lambda r: (-r[1], r[0]))],
+    )
+    lines += [
+        "## Full-corpus reference baseline",
+        "",
+        "Results originally reported for the 249,588-answer corpus; small "
+        "fixture runs are not expected to match them.",
+        "",
+    ]
+    lines += _table(
+        ("Model", "Sampler", "Accuracy", "Precision", "Recall", "MCC"),
+        [(model, sampler, _pct(ref["accuracy"]), _pct(ref["precision"]),
+          _pct(ref["recall"]), f"{ref['mcc']:.2f}" if "mcc" in ref else "-")
+         for model, by_sampler in sorted(doc["reference"].items())
+         for sampler, ref in sorted(by_sampler.items())],
+    )
     return "\n".join(lines)
 
 
@@ -345,58 +304,44 @@ def _roc_svg(report: EvalReport) -> str:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    payload = {
+    """The metrics.json document: one record per evaluated model, each of
+    its numbers computed here once, and the context report.md shows."""
+    imp = report.importance
+    return {
         "evals": [
             {
                 "model": ev.model,
                 "sampler": ev.sampler,
                 "confusion": {"tp": ev.cm.tp, "fp": ev.cm.fp,
                               "tn": ev.cm.tn, "fn": ev.cm.fn},
-                "accuracy": ev.accuracy,
-                "precision": ev.precision,
-                "precision_defined": precision_defined(ev.cm),
-                "recall": ev.recall,
-                "recall_defined": recall_defined(ev.cm),
-                "mcc": ev.mcc,
+                "accuracy": accuracy(ev.cm),
+                "precision": precision(ev.cm),
+                "precision_defined": ev.cm.tp + ev.cm.fp > 0,
+                "recall": recall(ev.cm),
+                "recall_defined": ev.cm.tp + ev.cm.fn > 0,
+                "mcc": mcc(ev.cm),
                 "auc": ev.roc.auc,
                 "n_test_rows": ev.cm.total,
             }
             for ev in report.evals
         ],
         "reference": REFERENCE_RESULTS,
-        "importance": None,
+        "importance": {"names": list(imp.names), "forest": list(imp.forest),
+                       "mlp": list(imp.mlp)},
         "info_gain_bits": report.info_gain_bits,
-        "meta": report.meta or {},
+        "meta": report.meta,
     }
-    if report.importance is not None:
-        payload["importance"] = {
-            "names": list(report.importance.names),
-            "forest": list(report.importance.forest),
-            "mlp": list(report.importance.mlp),
-        }
-    return payload
 
 
 def emit_report(report: EvalReport, out_dir) -> list:
-    """Write report.md, roc.csv, roc.svg, and metrics.json into out_dir."""
+    """Write metrics.json, report.md, roc.csv and roc.svg into `out_dir`,
+    an existing directory's Path; their paths, in that order."""
     if not report.evals:
         raise DataError("report has no model evaluations to emit")
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {
-        "report.md": _report_markdown(report),
-        "roc.csv": _roc_csv(report),
-        "roc.svg": _roc_svg(report),
-        "metrics.json": report_to_dict(report),
-    }
-    written = []
-    for name in sorted(files):
-        path = out / name
-        if name == "metrics.json":
-            write_json(path, files[name])
-        else:
-            path.write_text(files[name], encoding="utf-8")
-        written.append(path)
-    return written
+    doc = report_to_dict(report)
+    paths = [out_dir / name for name in ("metrics.json", "report.md", "roc.csv", "roc.svg")]
+    write_json(paths[0], doc)
+    texts = (_report_markdown(doc), _roc_csv(report), _roc_svg(report))
+    for path, text in zip(paths[1:], texts):
+        path.write_text(text, encoding="utf-8")
+    return paths

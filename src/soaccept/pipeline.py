@@ -68,7 +68,7 @@ from .metrics import EvalReport, emit_report, evaluate_model
 from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
 from .resample import Scaler, apply_plan, standardize
 from .seeding import derive_seed
-from .selection import select_features, selection_report
+from .selection import select_features
 from .settings import RunConfig
 
 
@@ -156,17 +156,10 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
         matrix = read_features_csv(artifact(cfg, "features.csv"))
     d = cfg.settings["selection"]
     try:
-        result, corr, ig = select_features(
-            matrix.x,
-            matrix.y,
-            matrix.names,
-            r_threshold=d["r_threshold"],
-            ig_threshold=d["ig_threshold"],
-            k=d["mi_k"],
-        )
+        report = select_features(matrix.x, matrix.y, matrix.names,
+                                 d["r_threshold"], d["ig_threshold"], d["mi_k"])
     except DataError as exc:
         raise DataError(f"feature selection failed: {exc}") from exc
-    report = selection_report(result, corr, ig, d["r_threshold"], d["ig_threshold"])
     path = artifact(cfg, "selection.json")
     # selection.json has never carried a version; manifest.json's gates it
     write_json(path, report, versioned=False)
@@ -363,7 +356,7 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
     report = EvalReport(
         evals=evals,
         importance=importance,
-        info_gain_bits=selection.get("info_gain_bits"),
+        info_gain_bits=selection["info_gain_bits"],
         meta={
             "sampler": sampler,
             "seed": cfg.seed,

@@ -146,7 +146,7 @@ def _count_within(x: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return within
 
 
-def mutual_information(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:
+def mutual_information(x: np.ndarray, y: np.ndarray, k: int) -> float:
     """Nearest-neighbor discrete-continuous MI estimate, in bits.
 
     Per point: the radius is just under the distance to its k-th nearest
@@ -196,7 +196,7 @@ def mutual_information(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:
 
 
 def info_gain_table(
-    x: np.ndarray, y: np.ndarray, names: tuple[str, ...], k: int = 3
+    x: np.ndarray, y: np.ndarray, names: tuple[str, ...], k: int
 ) -> dict[str, float]:
     return {name: mutual_information(x[:, i], y, k=k) for i, name in enumerate(names)}
 
@@ -205,37 +205,31 @@ def select_from_stats(
     names: tuple[str, ...],
     corr: np.ndarray,
     ig: dict[str, float],
-    r_threshold: float = 0.7,
-    ig_threshold: float = 0.4,
+    r_threshold: float,
+    ig_threshold: float,
 ) -> SelectionResult:
     """Apply the two pruning rules to precomputed statistics.
 
-    Correlated pairs are processed strongest first; the member with the
-    smaller IG is dropped (equal IG drops the lexicographically later
-    name).  Survivors must then satisfy IG > ig_threshold.
+    Pairs with |r| >= r_threshold are taken strongest first, ties by
+    name, and the member with the smaller IG is dropped (equal IG drops
+    the lexicographically later name); a pair that has already lost a
+    member is skipped.  A drop changes no other pair's key, so one sort
+    gives the order that rescanning after every drop would.  Survivors
+    must then satisfy IG > ig_threshold.
     """
     names = tuple(names)
-    index = {name: i for i, name in enumerate(names)}
+    r = np.abs(np.asarray(corr, dtype=np.float64))
+    pairs = sorted(
+        (-float(r[i, j]), a, b)
+        for i, a in enumerate(names)
+        for j, b in enumerate(names)
+        if a < b and r[i, j] >= r_threshold
+    )
     retained = set(names)
     dropped: list[tuple[str, str]] = []
-
-    while True:
-        worst = None
-        for a in names:
-            if a not in retained:
-                continue
-            for b in names:
-                if b <= a or b not in retained:
-                    continue
-                r_ab = abs(float(corr[index[a], index[b]]))
-                if r_ab < r_threshold:
-                    continue
-                key = (-r_ab, a, b)
-                if worst is None or key < worst[0]:
-                    worst = (key, a, b)
-        if worst is None:
-            break
-        _, a, b = worst
+    for _, a, b in pairs:
+        if a not in retained or b not in retained:
+            continue
         if ig[a] < ig[b] or (ig[a] == ig[b] and a > b):
             loser, keeper = a, b
         else:
@@ -257,27 +251,17 @@ def select_features(
     x: np.ndarray,
     y: np.ndarray,
     names: tuple[str, ...],
-    r_threshold: float = 0.7,
-    ig_threshold: float = 0.4,
-    k: int = 3,
-) -> tuple[SelectionResult, CorrelationMatrix, dict[str, float]]:
-    corr = pearson_matrix(x, names)
-    ig = info_gain_table(x, y, names, k=k)
-    result = select_from_stats(names, corr.r, ig, r_threshold, ig_threshold)
-    return result, corr, ig
-
-
-def selection_report(
-    result: SelectionResult,
-    corr: CorrelationMatrix,
-    ig: dict[str, float],
     r_threshold: float,
     ig_threshold: float,
+    k: int,
 ) -> dict:
     """The selection.json payload: thresholds, statistics and outcome."""
+    corr = pearson_matrix(x, names)
+    ig = info_gain_table(x, y, names, k)
+    result = select_from_stats(names, corr.r, ig, r_threshold, ig_threshold)
     return {
         "thresholds": {"correlation": r_threshold, "info_gain": ig_threshold},
-        "info_gain_bits": {name: ig[name] for name in corr.names},
+        "info_gain_bits": ig,
         "correlation": {
             "names": list(corr.names),
             "matrix": [[float(v) for v in row] for row in corr.r],

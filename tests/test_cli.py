@@ -523,6 +523,18 @@ def test_console_entry_point_runs(tmp_path):
     assert "run ingest first" in proc.stderr
 
 
+def test_train_without_bootstrap_reports_no_oob_error(cli_dir, tmp_path, capsys):
+    # every row is in every bag, so no row is out of bag: the error is
+    # undefined, as report.md prints a rate with no denominator
+    wd = tmp_path / "wd"
+    shutil.copytree(cli_dir, wd)
+    sets = ["--set", "forest.bootstrap=false", "--set", "forest.n_estimators=5"]
+    assert run_cli("train", *common(wd), *sets) == 0
+    assert capsys.readouterr().out.endswith(" resampled rows (oob error undefined)\n")
+    model = json.loads((wd / "models/smote/model.rf.json").read_text("utf-8"))
+    assert model["oob_error"] is None
+
+
 def test_seed_flag_changes_models(cli_dir, tmp_path):
     wd = tmp_path / "wd"
     assert run_cli("run", *common(wd), "--seed", "7") == 0

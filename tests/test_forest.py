@@ -251,10 +251,14 @@ def test_oob_error_tracks_held_out_error():
     assert abs(model.oob_error - held_out) < 0.05
 
 
-def test_no_bootstrap_has_no_oob_rows():
+def test_no_bootstrap_has_no_oob_rows(tmp_path):
+    # every row is in every bag: the error is undefined, not a perfect 0
     x, y = make_planted(60, seed=2)
     model = fit_forest(x, y, RfParams(n_estimators=3, max_depth=4, bootstrap=False))
-    assert model.oob_error == 0.0
+    assert model.oob_error is None
+    save_forest(model, tmp_path / "model.rf.json")
+    assert json.loads((tmp_path / "model.rf.json").read_text())["oob_error"] is None
+    assert load_forest(tmp_path / "model.rf.json").oob_error is None
 
 
 def _saved(model, path) -> bytes:

@@ -201,10 +201,10 @@ def test_permutation_importance_finds_the_live_column():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((400, 3))
     y = (x[:, 0] > 0).astype(np.int64)
-    drops = permutation_importance(_step_predictor, x, y, seed=0)
+    drops = permutation_importance(_step_predictor, x, y, seed=0, n_rounds=5)
     assert drops[0] > 0.3
     assert drops[1] < 0.05 and drops[2] < 0.05
-    again = permutation_importance(_step_predictor, x, y, seed=0)
+    again = permutation_importance(_step_predictor, x, y, seed=0, n_rounds=5)
     assert np.array_equal(drops, again)
 
 
@@ -217,7 +217,8 @@ def test_drop_within_the_noise_floor_counts_as_none():
     x[:, 0] = y
     x[:20, 0] = 1 - y[:20]
     x[:2, 1] = 1
-    drops = permutation_importance(lambda m: np.abs(m[:, 0] - m[:, 1]), x, y, seed=0)
+    drops = permutation_importance(lambda m: np.abs(m[:, 0] - m[:, 1]), x, y,
+                                   seed=0, n_rounds=5)
     assert drops[0] > 0.3
     assert drops[1] == 0.0
 
@@ -226,7 +227,7 @@ def test_permutation_importance_clamps_negative_drops():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((100, 2))
     y = (rng.random(100) < 0.5).astype(np.int64)
-    drops = permutation_importance(_step_predictor, x, y, seed=1)
+    drops = permutation_importance(_step_predictor, x, y, seed=1, n_rounds=5)
     assert (drops >= 0).all()
 
 
@@ -243,7 +244,7 @@ def _noise_models(n=300, d=8, seed=7):
 def test_report_columns_sum_to_one():
     x, y, forest, net = _noise_models()
     report = normalized_importance_report(
-        [f"f{i}" for i in range(8)], forest, net, x, y, seed=3)
+        [f"f{i}" for i in range(8)], forest, net, x, y, seed=3, n_rounds=5)
     assert isinstance(report, ImportanceReport)
     assert abs(sum(report.forest) - 1.0) < 1e-9
     assert abs(sum(report.mlp) - 1.0) < 1e-9
@@ -253,11 +254,11 @@ def test_report_columns_sum_to_one():
 def test_noise_features_stay_near_uniform():
     x, y, forest, net = _noise_models()
     report = normalized_importance_report(
-        [f"f{i}" for i in range(8)], forest, net, x, y, seed=4)
+        [f"f{i}" for i in range(8)], forest, net, x, y, seed=4, n_rounds=5)
     assert max(report.mlp) - min(report.mlp) < 0.1
 
 
 def test_report_name_count_must_match():
     x, y, forest, net = _noise_models()
     with pytest.raises(DataError, match="feature-name count"):
-        normalized_importance_report(["a", "b"], forest, net, x, y)
+        normalized_importance_report(["a", "b"], forest, net, x, y, seed=0, n_rounds=5)

@@ -19,9 +19,7 @@ from soaccept.metrics import (
     evaluate_model,
     mcc,
     precision,
-    precision_defined,
     recall,
-    recall_defined,
     roc,
 )
 
@@ -40,16 +38,6 @@ def test_hand_computed_rates():
     assert precision(cm) == 0.75
     assert recall(cm) == 0.6
     assert accuracy(cm) == 0.7
-
-
-def test_all_negative_predictions_zero_with_flag():
-    y_true = [1, 0, 1, 0]
-    y_pred = [0, 0, 0, 0]
-    cm = confusion(y_true, y_pred)
-    assert precision(cm) == 0.0
-    assert not precision_defined(cm)
-    assert recall(cm) == 0.0
-    assert recall_defined(cm)
 
 
 def test_confusion_validation():
@@ -158,14 +146,7 @@ def test_roc_matches_pair_counting_oracle(pairs):
     assert abs(curve.auc - _auc_by_pairs(y, s)) < 1e-12
 
 
-def _toy_report():
-    rng = np.random.default_rng(3)
-    y = (rng.random(40) < 0.4).astype(np.int64)
-    noisy = np.clip(0.55 * y + 0.3 * rng.random(40), 0.0, 1.0)
-    evals = (
-        evaluate_model("random-forest", "smote", y, noisy),
-        evaluate_model("mlp", "adasyn", y, 1.0 - noisy * 0.5),
-    )
+def _report(*evals):
     importance = ImportanceReport(
         names=("Score", "Reputation"), forest=(0.7, 0.3), mlp=(0.4, 0.6))
     return EvalReport(
@@ -176,16 +157,44 @@ def _toy_report():
     )
 
 
+def _toy_report():
+    rng = np.random.default_rng(3)
+    y = (rng.random(40) < 0.4).astype(np.int64)
+    noisy = np.clip(0.55 * y + 0.3 * rng.random(40), 0.0, 1.0)
+    return _report(
+        evaluate_model("random-forest", "smote", y, noisy),
+        evaluate_model("mlp", "adasyn", y, 1.0 - noisy * 0.5),
+    )
+
+
 def test_evaluate_model_threshold():
     ev = evaluate_model("random-forest", "none", [0, 1, 1], [0.4, 0.5, 0.9])
     assert ev.cm == ConfusionMatrix(tp=2, fp=0, tn=1, fn=0)
 
 
+def test_all_negative_predictions_zero_with_flag(tmp_path):
+    # the network predicts no positives, so precision has no denominator:
+    # metrics.json says so beside its 0.0, and report.md prints "undefined"
+    y_true = [1, 0, 1, 0]
+    report = _report(
+        evaluate_model("random-forest", "smote", y_true, [0.9, 0.1, 0.8, 0.2]),
+        evaluate_model("mlp", "smote", y_true, [0.4, 0.3, 0.2, 0.1]),
+    )
+    emit_report(report, tmp_path)
+    rf, nn = json.loads((tmp_path / "metrics.json").read_text())["evals"]
+    assert (nn["precision"], nn["precision_defined"]) == (0.0, False)
+    assert (nn["recall"], nn["recall_defined"]) == (0.0, True)
+    assert rf["precision_defined"] and rf["recall_defined"]
+    md = (tmp_path / "report.md").read_text().splitlines()
+    assert "| mlp | smote | 50.00% | undefined | 0.00% | 0.000 | 0.750 |" in md
+    assert "| random-forest | smote | 100.00% | 100.00% | 100.00% | 1.000 | 1.000 |" in md
+
+
 def test_emit_report_writes_all_files(tmp_path):
     report = _toy_report()
     written = emit_report(report, tmp_path)
-    names = sorted(p.name for p in written)
-    assert names == ["metrics.json", "report.md", "roc.csv", "roc.svg"]
+    assert written == [tmp_path / name
+                       for name in ("metrics.json", "report.md", "roc.csv", "roc.svg")]
     payload = json.loads((tmp_path / "metrics.json").read_text())
     assert payload["schema_version"] == 1
     assert len(payload["evals"]) == 2
@@ -202,10 +211,10 @@ def test_emit_report_writes_all_files(tmp_path):
 def test_roc_curves_of_one_sampler_differ_in_colour(tmp_path):
     # a pipeline report holds both models under the same sampler
     y = [0, 1, 1, 0]
-    report = EvalReport(evals=(
+    report = _report(
         evaluate_model("random-forest", "smote", y, [0.1, 0.9, 0.8, 0.3]),
         evaluate_model("mlp", "smote", y, [0.4, 0.6, 0.7, 0.2]),
-    ))
+    )
     emit_report(report, tmp_path)
     svg = (tmp_path / "roc.svg").read_text()
     strokes = re.findall(r'<polyline fill="none" stroke="([^"]+)"', svg)
@@ -214,8 +223,9 @@ def test_roc_curves_of_one_sampler_differ_in_colour(tmp_path):
 
 def test_emit_report_is_byte_deterministic(tmp_path):
     report = _toy_report()
-    emit_report(report, tmp_path / "a")
-    emit_report(report, tmp_path / "b")
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        emit_report(report, tmp_path / sub)
     for name in ("report.md", "roc.csv", "roc.svg", "metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -231,4 +241,4 @@ def test_roc_csv_rows(tmp_path):
 
 def test_emit_report_requires_evals(tmp_path):
     with pytest.raises(DataError, match="no model evaluations"):
-        emit_report(EvalReport(evals=()), tmp_path)
+        emit_report(_report(), tmp_path)

@@ -604,6 +604,37 @@ def test_fixture_models_beat_the_majority_share(run_dir):
         assert ev["mcc"] > 0, ev["model"]
 
 
+def _md_table(text: str, heading: str):
+    """The header line and the cell lists of the table under `heading`."""
+    block = text.split(f"## {heading}\n\n", 1)[1].split("\n\n", 1)[0]
+    header, separator, *rows = block.splitlines()
+    assert separator == "| " + " | ".join(["---"] * (header.count("|") - 1)) + " |"
+    return header, [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_report_md_agrees_with_metrics_json(run_dir):
+    report = (run_dir / "report/smote/report.md").read_text("utf-8")
+    evals = json.loads((run_dir / "report/smote/metrics.json").read_text("utf-8"))["evals"]
+
+    def rate(ev, key):
+        return f"{100.0 * ev[key]:.2f}%" if ev.get(f"{key}_defined", True) else "undefined"
+
+    header, rows = _md_table(report, "Test-split metrics")
+    assert header == "| Model | Sampler | Accuracy | Precision | Recall | MCC | AUC |"
+    assert rows == [
+        [ev["model"], ev["sampler"], rate(ev, "accuracy"), rate(ev, "precision"),
+         rate(ev, "recall"), f"{ev['mcc']:.3f}", f"{ev['auc']:.3f}"]
+        for ev in evals
+    ]
+    header, rows = _md_table(report, "Confusion matrices")
+    assert header == "| Model | Sampler | TP | FP | TN | FN |"
+    assert rows == [
+        [ev["model"], ev["sampler"], *(str(ev["confusion"][k]) for k in ("tp", "fp", "tn", "fn"))]
+        for ev in evals
+    ]
+    assert [row[0] for row in rows] == ["random-forest", "mlp"]
+
+
 def test_search_writes_trials(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     cfg = make_config(

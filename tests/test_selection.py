@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soaccept.errors import DataError
 from soaccept.features import FEATURE_NAMES
+from soaccept import selection
 from soaccept.selection import (
     _JITTER_SEED,
     CorrelationMatrix,
@@ -15,7 +18,6 @@ from soaccept.selection import (
     pearson_matrix,
     select_features,
     select_from_stats,
-    selection_report,
 )
 
 RNG = np.random.default_rng(7)
@@ -104,7 +106,7 @@ def test_mi_deterministic_across_calls():
     n = 300
     x = RNG.normal(size=n)
     y = RNG.integers(0, 2, size=n)
-    assert mutual_information(x, y) == mutual_information(x.copy(), y.copy())
+    assert mutual_information(x, y, k=3) == mutual_information(x.copy(), y.copy(), k=3)
 
 
 def _jittered(x):
@@ -312,21 +314,80 @@ def test_select_features_end_to_end_drops_duplicate_column():
     twin = 2.0 * signal + 1.0  # |r| = 1 with signal
     noise = rng.normal(size=n)
     x = np.column_stack([signal, twin, noise])
-    result, corr, ig = select_features(
-        x, y, ("signal", "twin", "noise"), r_threshold=0.7, ig_threshold=0.05
-    )
-    assert abs(corr.r[0, 1]) > 0.99
+    report = select_features(x, y, ("signal", "twin", "noise"), 0.7, 0.05, 3)
+    assert abs(report["correlation"]["matrix"][0][1]) > 0.99
     # one of the twins survives, noise is dropped for low IG
-    assert len([f for f in result.retained if f in ("signal", "twin")]) == 1
-    assert ("noise", "low-ig") in result.dropped
+    assert len([f for f in report["retained"] if f in ("signal", "twin")]) == 1
+    assert {"feature": "noise", "reason": "low-ig"} in report["dropped"]
 
 
-def test_selection_report_file():
+def test_selection_report_file(monkeypatch):
     ig, corr_m = _published_stats()
-    corr = CorrelationMatrix(names=FEATURE_NAMES, r=corr_m)
+    monkeypatch.setattr(selection, "pearson_matrix",
+                        lambda x, names: CorrelationMatrix(names=FEATURE_NAMES, r=corr_m))
+    monkeypatch.setattr(selection, "info_gain_table", lambda x, y, names, k: ig)
+    report = select_features(np.zeros((2, 16)), np.zeros(2), FEATURE_NAMES, 0.7, 0.4, 3)
     result = select_from_stats(FEATURE_NAMES, corr_m, ig, 0.7, 0.4)
-    report = selection_report(result, corr, ig, 0.7, 0.4)
     assert report["retained"] == result.retained
     assert report["thresholds"] == {"correlation": 0.7, "info_gain": 0.4}
     assert report["info_gain_bits"]["Timelag"] == pytest.approx(0.873)
     assert {d["feature"] for d in report["dropped"]} == {"NumberOfWords", "SignUpDateTimeLag"}
+
+
+def _rescanning_select(names, corr, ig, r_threshold, ig_threshold):
+    """Correlation pruning as first written: after every drop, rescan the
+    retained pairs for the strongest one at or above the threshold."""
+    index = {name: i for i, name in enumerate(names)}
+    retained = set(names)
+    dropped = []
+    while True:
+        worst = None
+        for a in names:
+            if a not in retained:
+                continue
+            for b in names:
+                if b <= a or b not in retained:
+                    continue
+                r_ab = abs(float(corr[index[a], index[b]]))
+                if r_ab < r_threshold:
+                    continue
+                key = (-r_ab, a, b)
+                if worst is None or key < worst[0]:
+                    worst = (key, a, b)
+        if worst is None:
+            break
+        _, a, b = worst
+        if ig[a] < ig[b] or (ig[a] == ig[b] and a > b):
+            loser, keeper = a, b
+        else:
+            loser, keeper = b, a
+        retained.discard(loser)
+        dropped.append((loser, f"correlated-with:{keeper}"))
+    for name in names:
+        if name in retained and ig[name] <= ig_threshold:
+            retained.discard(name)
+            dropped.append((name, "low-ig"))
+    return [n for n in names if n in retained], dropped
+
+
+@st.composite
+def _tied_stats(draw):
+    """Names in a drawn order, a symmetric matrix whose |r| come from a
+    small grid, and information gains from another: ties are common."""
+    names = tuple(draw(st.permutations("abcdefg"))[: draw(st.integers(2, 7))])
+    corr = np.eye(len(names))
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            corr[i, j] = corr[j, i] = draw(
+                st.sampled_from([0.0, 0.5, 0.7, -0.7, 0.8, -0.8, 0.9, -1.0, 1.0]))
+    ig = {name: draw(st.sampled_from([0.3, 0.4, 0.5, 0.6])) for name in names}
+    return names, corr, ig
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_stats(), st.sampled_from([0.7, 0.8, 0.95]))
+def test_one_pass_pruning_matches_rescanning(stats, r_threshold):
+    names, corr, ig = stats
+    result = select_from_stats(names, corr, ig, r_threshold, 0.4)
+    assert (result.retained, result.dropped) == _rescanning_select(
+        names, corr, ig, r_threshold, 0.4)
