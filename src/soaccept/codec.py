@@ -22,16 +22,14 @@ def foreign(path, kind: str, stage: str) -> StageError:
     return StageError(f"{path} is not a {kind} artifact; run {stage} first")
 
 
-def write_json(path, payload: dict, kind: str | None = None, compact: bool = False,
-               versioned: bool = True) -> dict:
-    """Write `payload`, stamped unless not `versioned`, to `path`, and return
-    what was written.
+def write_json(path, payload: dict, kind: str | None = None, compact: bool = False) -> dict:
+    """Write `payload`, stamped, to `path`, and return what was written.
 
     Indented by 2, or on one line if `compact` (the model files); dumps
     takes the C encoder there, which dump with a file never does, and
     dump keeps an indented file from being held whole as text.
     """
-    document = {**payload, "schema_version": SCHEMA_VERSION} if versioned else dict(payload)
+    document = {**payload, "schema_version": SCHEMA_VERSION}
     if kind is not None:
         document["kind"] = kind
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -152,16 +152,11 @@ def cosine_similarity(q: dict[int, float], a: dict[int, float]) -> float:
     return _cosine(q, _norm(q), a)
 
 
-def _word_counts(tokens) -> dict[str, float]:
-    # keyed by the word itself: sorted words run in the order that indices
-    # into the pair's sorted union vocabulary would
-    return {t: float(c) for t, c in Counter(tokens).items()}
-
-
 def vector_concordance_similarity(question_tokens, answer_tokens) -> float:
-    """Cosine of raw word-count vectors over the pair's union vocabulary."""
-    q_counts = _word_counts(question_tokens)
-    return _cosine(q_counts, _norm(q_counts), _word_counts(answer_tokens))
+    """Cosine of raw word-count vectors over the pair's union vocabulary;
+    sorted words run in the order of indices into that vocabulary."""
+    q_counts = Counter(question_tokens)
+    return _cosine(q_counts, _norm(q_counts), Counter(answer_tokens))
 
 
 def load_polarity_lexicon() -> dict[str, float]:
@@ -210,7 +205,7 @@ def time_features(question: PostRow, answer: PostRow, user: UserRow) -> tuple[in
     return answer.creation_ts - question.creation_ts, answer.creation_ts - user.creation_ts
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureMatrix:
     names: tuple[str, ...]
     x: np.ndarray  # (n_rows, n_features) float64
@@ -219,24 +214,16 @@ class FeatureMatrix:
     answer_ids: np.ndarray
     stats: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FeatureMatrix)
-            and self.names == other.names
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.question_ids, other.question_ids)
-            and np.array_equal(self.answer_ids, other.answer_ids)
-        )
-
 
 @dataclass
 class PostText:
-    """One post, analyzed once."""
+    """One post, analyzed once: its prose split into words once, and the
+    words filtered for stop words once, for every text feature."""
 
     parts: AnswerParts
     raw_tokens: list[str]  # lowercased prose words, numbers dropped
-    prose_tokens: list[str]  # raw tokens without stop words, stemmed
+    n_words: int  # raw tokens that are not stop words
+    prose_tokens: list[str]  # those tokens stemmed, stop words removed again
     code_ids: list[str]  # lowercased identifier tokens
 
 
@@ -249,10 +236,13 @@ class AnalyzedRecord:
 
 def _analyze_post(post: PostRow, stop_list, keywords) -> PostText:
     parts = split_code_blocks(post.body)
+    words = raw_tokens(parts.prose_text)
+    content = remove_stop_words(words, stop_list)
     return PostText(
         parts=parts,
-        raw_tokens=raw_tokens(parts.prose_text),
-        prose_tokens=tokenize(parts.prose_text, stop_list),
+        raw_tokens=words,
+        n_words=len(content),
+        prose_tokens=tokenize(content, stop_list),
         code_ids=[
             t.lower()
             for block in parts.code_blocks
@@ -295,7 +285,6 @@ def extract_matrix(analyzed: list[AnalyzedRecord], tfidf_model: TfIdfModel) -> F
     an earlier run to score new candidates.  Answers that predate their
     question (clock anomaly) are dropped and counted in stats.
     """
-    stop_list = load_stopwords()
     lexicon = load_polarity_lexicon()
     rows = []
     labels = []
@@ -312,7 +301,7 @@ def extract_matrix(analyzed: list[AnalyzedRecord], tfidf_model: TfIdfModel) -> F
         # prose vector, TextualSimilarity against its word counts
         q_vec = tfidf_vector(tfidf_model, qt.prose_tokens)
         q_vec_norm = _norm(q_vec)
-        q_counts = _word_counts(qt.raw_tokens)
+        q_counts = Counter(qt.raw_tokens)
         q_counts_norm = _norm(q_counts)
         for entry, at in zip(rec.answers, analysis.answers):
             timelag, signup_lag = time_features(rec.question, entry.post, entry.user)
@@ -335,12 +324,12 @@ def extract_matrix(analyzed: list[AnalyzedRecord], tfidf_model: TfIdfModel) -> F
                 float(entry.post.score),
                 float(count_code_lines(at.parts.code_blocks)),
                 float(len(split_sentences(prose))),
-                _cosine(q_counts, q_counts_norm, _word_counts(at.raw_tokens)),
+                _cosine(q_counts, q_counts_norm, Counter(at.raw_tokens)),
                 float(len(at.code_ids)),
                 _cosine(q_vec, q_vec_norm, tfidf_vector(tfidf_model, at.code_ids)),
                 _cosine(q_vec, q_vec_norm, tfidf_vector(tfidf_model, at.prose_tokens)),
                 float(signup_lag),
-                float(len(remove_stop_words(at.raw_tokens, stop_list))),
+                float(at.n_words),
             )
             rows.append(row)
             labels.append(1 if entry.accepted else 0)
@@ -384,7 +373,13 @@ def read_features_csv(path) -> FeatureMatrix:
             raise foreign(path, "features", "features")
         rows, labels = [], []
         for rec in reader:
-            rows.append([float(v) for v in rec[:-1]])
+            try:
+                row = [float(v) for v in rec[:-1]]
+            except ValueError:  # a cell that is not a number
+                row = []
+            if len(row) != len(FEATURE_NAMES):
+                raise foreign(f"{path} line {reader.line_num}", "features", "features")
+            rows.append(row)
             labels.append(1 if rec[-1] == LABEL_ACCEPTED else 0)
     n = len(rows)
     return FeatureMatrix(

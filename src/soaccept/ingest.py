@@ -387,22 +387,25 @@ def read_dataset(path) -> list[QARecord]:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            if obj.get("v") != SCHEMA_VERSION:
+            try:
+                obj = json.loads(line)
+                version = obj.get("v")
+                answers = [
+                    AnswerEntry(
+                        post=_post_from_json(a, "answer"),
+                        user=UserRow(
+                            id=a["owner_user_id"],
+                            reputation=a["reputation"],
+                            creation_ts=parse_timestamp(a["user_creation_ts"]),
+                        ),
+                        accepted=a["accepted"],
+                    )
+                    for a in obj["answers"]
+                ]
+                question = _post_from_json(obj["question"], "question")
+            except (AttributeError, KeyError, TypeError, ValueError):
+                version = None  # not JSON, not an object, or a key missing
+            if version != SCHEMA_VERSION:
                 raise foreign(f"{path} line {line_no}", "dataset", "ingest")
-            answers = [
-                AnswerEntry(
-                    post=_post_from_json(a, "answer"),
-                    user=UserRow(
-                        id=a["owner_user_id"],
-                        reputation=a["reputation"],
-                        creation_ts=parse_timestamp(a["user_creation_ts"]),
-                    ),
-                    accepted=a["accepted"],
-                )
-                for a in obj["answers"]
-            ]
-            records.append(
-                QARecord(question=_post_from_json(obj["question"], "question"), answers=answers)
-            )
+            records.append(QARecord(question=question, answers=answers))
     return records

@@ -161,8 +161,7 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
     except DataError as exc:
         raise DataError(f"feature selection failed: {exc}") from exc
     path = artifact(cfg, "selection.json")
-    # selection.json has never carried a version; manifest.json's gates it
-    write_json(path, report, versioned=False)
+    report = write_json(path, report)
     record_stage(cfg, "select", inputs, [path])
     return report
 
@@ -205,10 +204,11 @@ def _fit_models(x, z, y, params: RfParams, config: MlpConfig, threads: int):
     processes: the network goes in first, as one task, and contiguous
     blocks of tree indices follow as the others.  The trees are joined
     in index order as their blocks finish.  Fork starts workers without
-    re-importing anything, which spawn would pay for on every run; it
-    needs a caller with no other threads running, as the command line
-    is.  The pool modules are imported here so that loading the package,
-    and so every `rank` call, does not pay for them.
+    re-importing anything, which spawn would pay for on every run.  The
+    command line starts no thread of its own, and NumPy's OpenBLAS stops
+    its worker threads at the fork and restarts them on its next call.
+    The pool modules are imported here so that loading the package, and
+    so every `rank` call, does not pay for them.
     """
     workers = _worker_count(threads, 1 + params.n_estimators)
     if workers == 1:

@@ -72,15 +72,14 @@ def stem_tokens(tokens: list[str]) -> list[str]:
     return [porter_stem(t) if t.isascii() and t.isalpha() else t for t in tokens]
 
 
-def tokenize(text: str, stop_list: frozenset[str]) -> list[str]:
-    """Full normalization: boundaries, stop-word removal, stemming.
+def tokenize(words: list[str], stop_list: frozenset[str]) -> list[str]:
+    """The stems of `words`, raw tokens already without stop words.
 
     Stemming can itself produce a stop word ("willing" stems to "will"),
     so the stop filter runs again afterwards; no output token may be on
     the stop list.
     """
-    stems = stem_tokens(remove_stop_words(raw_tokens(text), stop_list))
-    return remove_stop_words(stems, stop_list)
+    return remove_stop_words(stem_tokens(words), stop_list)
 
 
 def split_sentences(text: str) -> list[str]:

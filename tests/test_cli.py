@@ -268,6 +268,17 @@ _FOREIGN = {
                 "features", "ingest"),
     "features": ("features.csv", lambda text: text.replace("Score", "Score2", 1),
                  "select", "features"),
+    # the first line not JSON, not an object, or without its answers
+    "dataset-json": ("dataset.jsonl", lambda text: "{" + text, "features", "ingest"),
+    "dataset-list": ("dataset.jsonl", lambda text: "[1]\n" + text.split("\n", 1)[1],
+                     "features", "ingest"),
+    "dataset-key": ("dataset.jsonl", lambda text: text.replace('"answers"', '"answerz"', 1),
+                    "features", "ingest"),
+    # the first row's first cell not a number; the first row one cell longer
+    "features-cell": ("features.csv", lambda text: text.replace("\n", "\nx", 1),
+                      "select", "features"),
+    "features-row": ("features.csv", lambda text: text.replace("\n", "\n1,", 1),
+                     "select", "features"),
 }
 
 
@@ -284,6 +295,27 @@ def test_file_of_another_version_or_kind_exits_4(cli_dir, tmp_path, capsys, rel,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
     assert err.endswith(f"; run {stage} first\n"), err
+
+
+def test_training_another_sampler_leaves_the_first_one_stale(cli_dir, tmp_path, capsys):
+    # the files of both samplers stay, but the manifest keeps one train
+    # record, the last sampler trained's, until train runs again
+    wd = tmp_path / "wd"
+    shutil.copytree(cli_dir, wd)
+    smote = {p.name: p.read_bytes() for p in (wd / "models" / "smote").iterdir()}
+    for command in ("train", "evaluate"):
+        assert run_cli(command, *common(wd), "--set", "resample.method=adasyn") == 0, command
+    capsys.readouterr()
+    request = ["--input", write_request(tmp_path, rank_request())]
+    for command, extra in (("evaluate", []), ("rank", request)):
+        assert run_cli(command, *common(wd), *extra) == 4, command
+        assert capsys.readouterr().err == (
+            "error: settings for stage 'train' changed after it ran; run train first\n"
+        )
+    assert {p.name: p.read_bytes() for p in (wd / "models" / "smote").iterdir()} == smote
+    assert (wd / "models" / "adasyn" / "model.rf.json").is_file()
+    assert run_cli("train", *common(wd)) == 0
+    assert run_cli("rank", *common(wd), *request) == 0
 
 
 def _edited_dump(tmp_path, dump, row_id, attribute, value):

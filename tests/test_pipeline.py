@@ -229,8 +229,7 @@ def test_every_json_file_carries_the_schema_version(run_dir):
     kinds = {}
     for path in sorted(run_dir.rglob("*.json")):
         doc = json.loads(path.read_text("utf-8"))
-        # selection.json has never carried one
-        assert doc.get("schema_version") == (None if path.name == "selection.json" else 1), path
+        assert doc.get("schema_version") == 1, path
         if "kind" in doc:
             kinds[path.name] = doc["kind"]
     assert kinds == {"tfidf.json": "tfidf", "model.rf.json": "random-forest",
@@ -238,6 +237,26 @@ def test_every_json_file_carries_the_schema_version(run_dir):
                      "medians.json": "medians"}
     with open(run_dir / "dataset.jsonl", encoding="utf-8") as fh:
         assert {json.loads(line)["v"] for line in fh} == {1}
+
+
+# sha256 of what ingest and features write from the bundled fixture;
+# these files use no BLAS, so they are the same on every machine
+FIXTURE_DIGESTS = {
+    "dataset.jsonl": "d5867524328340d7cab50c24c7eaf90d5cd1823b7dcdac18910407ee1e2c9676",
+    "ingest_report.json": "c788da8b0776c2dac4f606460b1fce834769b2d257d620787ddb8b651e3fe549",
+    "features.csv": "ff5ed4a4e8d6037219164d464e343e9b21f4e735950c38525308ff141a0601b0",
+    "tfidf.json": "e43acb890b4e710e6e373db6aeb2421e299c5cc7e02d51f3422b32a6e79929c8",
+    "feature_stats.json": "27a057c4670d3412f72eceda4ac5e2317529b740fa6d00bdbfb212c839ba59ba",
+}
+
+
+def test_ingest_and_features_artifacts_keep_their_digests(tmp_path):
+    cfg = make_config(tmp_path / "wd")
+    cmd_ingest(cfg)
+    cmd_features(cfg)
+    digests = {name: hashlib.sha256((tmp_path / "wd" / name).read_bytes()).hexdigest()
+               for name in FIXTURE_DIGESTS}
+    assert digests == FIXTURE_DIGESTS
 
 
 def test_rerunning_one_stage_is_byte_stable(run_dir, tmp_path):

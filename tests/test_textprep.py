@@ -16,6 +16,11 @@ from soaccept.textprep import (
 STOP = load_stopwords()
 
 
+def _words(text):
+    """`text`'s raw tokens without stop words, as `tokenize` takes them."""
+    return remove_stop_words(raw_tokens(text), STOP)
+
+
 def test_split_prose_and_single_code_block():
     body = "<p>I would not rely on that approach</p><code> def plot: a=c[1,2,3] </code>"
     parts = split_code_blocks(body)
@@ -72,28 +77,28 @@ def test_stop_list_is_fixed_179_words():
 
 
 def test_tokenize_examples():
-    assert tokenize("The cat, the CAT!", STOP) == ["cat", "cat"]
-    assert tokenize("", STOP) == []
-    assert tokenize("running 42 times", STOP) == ["run", "time"]
+    assert tokenize(_words("The cat, the CAT!"), STOP) == ["cat", "cat"]
+    assert tokenize(_words(""), STOP) == []
+    assert tokenize(_words("running 42 times"), STOP) == ["run", "time"]
 
 
 def test_tokenize_keeps_mixed_alphanumeric():
-    assert tokenize("use utf8 now", STOP) == ["us", "utf8"]
+    assert tokenize(_words("use utf8 now"), STOP) == ["us", "utf8"]
 
 
 def test_tokenize_stems_exactly_once():
     # "indeed" stems to "inde"; a second pass would shorten it again
-    assert tokenize("indeed", STOP) == ["inde"]
+    assert tokenize(_words("indeed"), STOP) == ["inde"]
 
 
 def test_tokenize_output_never_contains_stop_words():
     # stemming maps "willing" onto the stop word "will"; it must not leak
-    assert tokenize("willing", STOP) == []
+    assert tokenize(_words("willing"), STOP) == []
 
 
 @given(st.text(max_size=120))
 def test_tokenize_invariants_on_arbitrary_text(text):
-    for tok in tokenize(text, STOP):
+    for tok in tokenize(_words(text), STOP):
         assert tok
         assert tok not in STOP
         assert tok == tok.lower()
