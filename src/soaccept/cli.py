@@ -13,7 +13,6 @@ import json
 import sys
 
 from .errors import ConfigError, DataError, StageError
-from .metrics import accuracy, mcc
 from .pipeline import (
     cmd_evaluate,
     cmd_features,
@@ -105,11 +104,10 @@ def main(argv=None) -> int:
                 f" (oob error {'undefined' if oob is None else f'{oob:.4f}'})"
             )
         elif args.command == "evaluate":
-            report = cmd_evaluate(cfg)
-            for ev in report.evals:
+            for ev in cmd_evaluate(cfg)["evals"]:
                 print(
-                    f"{ev.model}/{ev.sampler}: accuracy {accuracy(ev.cm):.4f}"
-                    f" mcc {mcc(ev.cm):.4f} auc {ev.roc.auc:.4f}"
+                    f"{ev['model']}/{ev['sampler']}: accuracy {ev['accuracy']:.4f}"
+                    f" mcc {ev['mcc']:.4f} auc {ev['auc']:.4f}"
                 )
         elif args.command == "run":
             summary = cmd_run(cfg)

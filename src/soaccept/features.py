@@ -56,8 +56,7 @@ FEATURE_NAMES = (
     "NumberOfWords",
 )
 
-LABEL_ACCEPTED = "accepted"
-LABEL_UNACCEPTED = "unaccepted"
+LABELS = ("unaccepted", "accepted")  # features.csv's label cell, by class
 
 _URL_RE = re.compile(r"https?://")
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -359,10 +358,7 @@ def write_features_csv(matrix: FeatureMatrix, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(matrix.names) + ["label"])
         for row, label in zip(matrix.x, matrix.y):
-            writer.writerow(
-                [format_value(v) for v in row]
-                + [LABEL_ACCEPTED if label else LABEL_UNACCEPTED]
-            )
+            writer.writerow([format_value(v) for v in row] + [LABELS[label]])
 
 
 def read_features_csv(path) -> FeatureMatrix:
@@ -377,10 +373,10 @@ def read_features_csv(path) -> FeatureMatrix:
                 row = [float(v) for v in rec[:-1]]
             except ValueError:  # a cell that is not a number
                 row = []
-            if len(row) != len(FEATURE_NAMES):
+            if len(row) != len(FEATURE_NAMES) or rec[-1] not in LABELS:
                 raise foreign(f"{path} line {reader.line_num}", "features", "features")
             rows.append(row)
-            labels.append(1 if rec[-1] == LABEL_ACCEPTED else 0)
+            labels.append(LABELS.index(rec[-1]))
     n = len(rows)
     return FeatureMatrix(
         names=FEATURE_NAMES,

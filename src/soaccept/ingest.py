@@ -356,10 +356,26 @@ def _post_from_json(obj: dict, post_type: str) -> PostRow:
         accepted_answer_id=obj.get("accepted_answer_id"),
         view_count=obj.get("view_count"),
         owner_user_id=obj.get("owner_user_id"),
-        tags=list(obj.get("tags") or []),
+        tags=obj.get("tags", []),
         answer_count=obj.get("answer_count"),
         comment_count=obj.get("comment_count", 0),
     )
+
+
+def _is_int(value) -> bool:
+    # JSON's true and false load as bools, which isinstance counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _well_typed(p: PostRow) -> bool:
+    """Whether `p`'s fields have the JSON types `_post_to_json` writes; a
+    timestamp that is not a string already fails in `parse_timestamp`."""
+    return (_is_int(p.id) and _is_int(p.score) and _is_int(p.comment_count)
+            and isinstance(p.body, str)
+            and isinstance(p.tags, list) and all(isinstance(t, str) for t in p.tags)
+            and all(v is None or _is_int(v) for v in (
+                p.parent_id, p.accepted_answer_id, p.view_count, p.owner_user_id,
+                p.answer_count)))
 
 
 def write_dataset(records: list[QARecord], path) -> None:
@@ -405,7 +421,10 @@ def read_dataset(path) -> list[QARecord]:
                 question = _post_from_json(obj["question"], "question")
             except (AttributeError, KeyError, TypeError, ValueError):
                 version = None  # not JSON, not an object, or a key missing
-            if version != SCHEMA_VERSION:
+            if not (_is_int(version) and version == SCHEMA_VERSION and _well_typed(question)
+                    and all(_well_typed(a.post) and _is_int(a.user.id)
+                            and _is_int(a.user.reputation) and isinstance(a.accepted, bool)
+                            for a in answers)):
                 raise foreign(f"{path} line {line_no}", "dataset", "ingest")
             records.append(QARecord(question=question, answers=answers))
     return records

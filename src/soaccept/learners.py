@@ -191,13 +191,6 @@ def _normalize(values) -> np.ndarray:
     return values / total
 
 
-@dataclass(frozen=True)
-class ImportanceReport:
-    names: tuple
-    forest: tuple  # normalized impurity-decrease weights, sum 1
-    mlp: tuple  # normalized permutation weights, sum 1
-
-
 def normalized_importance_report(
     names,
     forest_model: ForestModel,
@@ -206,22 +199,22 @@ def normalized_importance_report(
     y_test,
     seed: int,
     n_rounds: int,
-) -> ImportanceReport:
-    """Per-feature weight columns for both models, each summing to 1.
-
-    The forest column is its normalized mean impurity decrease; the
-    network column is seeded permutation importance on the (scaled)
+) -> dict:
+    """Per-feature weight columns for both models, each summing to 1, as
+    metrics.json's ``importance`` section holds them: ``names``, then
+    ``forest``, its normalized mean impurity decrease, and ``mlp``, the
+    network's normalized seeded permutation importance on the (scaled)
     test split.
     """
-    names = tuple(names)
+    names = list(names)
     if len(names) != forest_model.n_features or len(names) != mlp_model.n_features:
         raise DataError("feature-name count does not match the models")
     drops = permutation_importance(
         lambda m: mlp_predict_proba(mlp_model, m), x_test_scaled, y_test,
         seed=derive_seed(seed, "mlp-permutation"), n_rounds=n_rounds,
     )
-    return ImportanceReport(
-        names=names,
-        forest=tuple(float(v) for v in _normalize(forest_model.importances)),
-        mlp=tuple(float(v) for v in _normalize(drops)),
-    )
+    return {
+        "names": names,
+        "forest": _normalize(forest_model.importances).tolist(),
+        "mlp": _normalize(drops).tolist(),
+    }

@@ -158,14 +158,6 @@ def evaluate_model(model: str, sampler: str, y_true, scores):
     )
 
 
-@dataclass
-class EvalReport:
-    evals: tuple  # ModelEval entries
-    importance: object  # learners.ImportanceReport
-    info_gain_bits: dict  # feature -> bits
-    meta: dict  # split sizes and similar context
-
-
 _MODEL_COLORS = {"random-forest": "#1f77b4", "mlp": "#ff7f0e"}
 
 
@@ -231,9 +223,9 @@ def _report_markdown(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _roc_csv(report: EvalReport) -> str:
+def _roc_csv(evals) -> str:
     rows = ["model,sampler,fpr,tpr,threshold"]
-    for ev in report.evals:
+    for ev in evals:
         for fpr, tpr, thr in ev.roc.points:
             rows.append(
                 f"{ev.model},{ev.sampler},{format_value(fpr)},"
@@ -251,7 +243,7 @@ def _svg_path(points, width, height, margin):
     return " ".join(coords)
 
 
-def _roc_svg(report: EvalReport) -> str:
+def _roc_svg(evals) -> str:
     size, margin = 560, 50
     plot = size - 2 * margin
     parts = [
@@ -284,7 +276,7 @@ def _roc_svg(report: EvalReport) -> str:
         f'<line x1="{margin}" y1="{margin + plot}" x2="{margin + plot}" y2="{margin}" '
         'stroke="#d62728" stroke-dasharray="6,4"/>'
     )
-    for idx, ev in enumerate(report.evals):
+    for idx, ev in enumerate(evals):
         color = _MODEL_COLORS[ev.model]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
@@ -303,10 +295,11 @@ def _roc_svg(report: EvalReport) -> str:
     return "\n".join(parts) + "\n"
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    """The metrics.json document: one record per evaluated model, each of
-    its numbers computed here once, and the context report.md shows."""
-    imp = report.importance
+def report_to_dict(evals, importance: dict, info_gain_bits: dict, meta: dict) -> dict:
+    """The metrics.json document: one record per `ModelEval` in `evals`,
+    each of its numbers computed here once, and the context report.md
+    shows: the `importance` columns, as `normalized_importance_report`
+    returns them, the selection's `info_gain_bits` and the run's `meta`."""
     return {
         "evals": [
             {
@@ -323,25 +316,24 @@ def report_to_dict(report: EvalReport) -> dict:
                 "auc": ev.roc.auc,
                 "n_test_rows": ev.cm.total,
             }
-            for ev in report.evals
+            for ev in evals
         ],
         "reference": REFERENCE_RESULTS,
-        "importance": {"names": list(imp.names), "forest": list(imp.forest),
-                       "mlp": list(imp.mlp)},
-        "info_gain_bits": report.info_gain_bits,
-        "meta": report.meta,
+        "importance": importance,
+        "info_gain_bits": info_gain_bits,
+        "meta": meta,
     }
 
 
-def emit_report(report: EvalReport, out_dir) -> list:
-    """Write metrics.json, report.md, roc.csv and roc.svg into `out_dir`,
-    an existing directory's Path; their paths, in that order."""
-    if not report.evals:
+def emit_report(doc: dict, evals, out_dir) -> tuple:
+    """Write `doc`, the metrics.json document of `evals`, as metrics.json,
+    and report.md, roc.csv and roc.svg into `out_dir`, an existing
+    directory's Path.  The document as written, and the four paths."""
+    if not evals:
         raise DataError("report has no model evaluations to emit")
-    doc = report_to_dict(report)
     paths = [out_dir / name for name in ("metrics.json", "report.md", "roc.csv", "roc.svg")]
-    write_json(paths[0], doc)
-    texts = (_report_markdown(doc), _roc_csv(report), _roc_svg(report))
+    written = write_json(paths[0], doc)
+    texts = (_report_markdown(doc), _roc_csv(evals), _roc_svg(evals))
     for path, text in zip(paths[1:], texts):
         path.write_text(text, encoding="utf-8")
-    return paths
+    return written, paths

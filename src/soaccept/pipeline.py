@@ -64,7 +64,7 @@ from .manifest import (
     record_stage,
     verify_chain,
 )
-from .metrics import EvalReport, emit_report, evaluate_model
+from .metrics import emit_report, evaluate_model, report_to_dict
 from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
 from .resample import Scaler, apply_plan, standardize
 from .seeding import derive_seed
@@ -317,8 +317,9 @@ def _load_scaler(cfg: RunConfig) -> Scaler:
     )
 
 
-def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
-    """Held-out metrics + importance rankings -> report/<sampler>/.
+def cmd_evaluate(cfg: RunConfig, matrix=None) -> dict:
+    """Held-out metrics + importance rankings -> report/<sampler>/; the
+    metrics.json document it writes there, as it was written.
 
     `matrix` is features.csv already parsed, as for `cmd_select`.
     """
@@ -345,30 +346,22 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> EvalReport:
         evaluate_model("mlp", sampler, y_test, mlp_scores),
     )
     importance = normalized_importance_report(
-        tuple(retained),
-        forest,
-        mlp,
-        z_test,
-        y_test,
+        retained, forest, mlp, z_test, y_test,
         seed=derive_seed(cfg.seed, "importance"),
         n_rounds=cfg.settings["evaluate"]["importance_rounds"],
     )
-    report = EvalReport(
-        evals=evals,
-        importance=importance,
-        info_gain_bits=selection["info_gain_bits"],
-        meta={
-            "sampler": sampler,
-            "seed": cfg.seed,
-            "train_rows": train_rows,
-            "test_rows": int(len(test_idx)),
-            "retained_features": len(retained),
-        },
-    )
+    doc = report_to_dict(evals, importance, selection["info_gain_bits"], meta={
+        "sampler": sampler,
+        "seed": cfg.seed,
+        "train_rows": train_rows,
+        "test_rows": int(len(test_idx)),
+        "retained_features": len(retained),
+    })
     report_dir = artifact(cfg, "report/{}")
     _make_dir(report_dir, "report directory")
-    record_stage(cfg, "evaluate", inputs, emit_report(report, report_dir))
-    return report
+    doc, outputs = emit_report(doc, evals, report_dir)
+    record_stage(cfg, "evaluate", inputs, outputs)
+    return doc
 
 
 def cmd_run(cfg: RunConfig) -> dict:
@@ -533,7 +526,7 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
     if matrix.x.shape[0] != n:
         raise DataError("candidate rows were dropped during extraction")
 
-    medians = read_json(artifact(cfg, "models/{}/medians.json"))
+    medians = read_artifact(artifact(cfg, "models/{}/medians.json"), "medians", "train")
     median_of = dict(zip(medians["names"], medians["values"]))
     col_of = {name: j for j, name in enumerate(matrix.names)}
     for i, names in enumerate(imputed):

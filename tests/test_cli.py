@@ -18,6 +18,8 @@ import soaccept
 from soaccept import cli
 from soaccept.cli import main
 from soaccept.errors import ConfigError, DataError, StageError
+from soaccept.pipeline import cmd_evaluate
+from soaccept.settings import load_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POSTS = str(FIXTURES / "Posts.xml")
@@ -255,6 +257,16 @@ def _redigest(wd: Path, rel: str) -> None:
     (wd / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), "utf-8")
 
 
+def _edit_record(edit):
+    """An edit of dataset.jsonl that applies `edit` to its first record."""
+    def apply(text):
+        first, rest = text.split("\n", 1)
+        record = json.loads(first)
+        edit(record)
+        return json.dumps(record, sort_keys=True) + "\n" + rest
+    return apply
+
+
 # a file that carries its own version or kind, edited to another one; the
 # command that reads it; the stage that writes it
 _FOREIGN = {
@@ -263,6 +275,7 @@ _FOREIGN = {
     "mlp": ("models/smote/model.mlp.json", _edit_json(schema_version=2), "evaluate", "train"),
     "scaler": ("models/smote/scaler.json", _edit_json(schema_version=2), "evaluate", "train"),
     "scaler-kind": ("models/smote/scaler.json", _edit_json(kind="medians"), "evaluate", "train"),
+    "medians": ("models/smote/medians.json", _edit_json(schema_version=2), "rank", "train"),
     # the first record's version; the first header name
     "dataset": ("dataset.jsonl", lambda text: text.replace('"v": 1', '"v": 2', 1),
                 "features", "ingest"),
@@ -279,6 +292,20 @@ _FOREIGN = {
                       "select", "features"),
     "features-row": ("features.csv", lambda text: text.replace("\n", "\n1,", 1),
                      "select", "features"),
+    # the first accepted row's label misspelt
+    "features-label": ("features.csv", lambda text: text.replace(",accepted\n", ",acceptd\n", 1),
+                       "select", "features"),
+    # the first record's version a boolean, its question id a string,
+    # first answer's body a number, first answer's accepted flag a string
+    "dataset-v": ("dataset.jsonl", lambda text: text.replace('"v": 1', '"v": true', 1),
+                  "features", "ingest"),
+    "dataset-id": ("dataset.jsonl", _edit_record(lambda r: r["question"].update(id="x")),
+                   "features", "ingest"),
+    "dataset-body": ("dataset.jsonl", _edit_record(lambda r: r["answers"][0].update(body=5)),
+                     "features", "ingest"),
+    "dataset-accepted": ("dataset.jsonl",
+                         _edit_record(lambda r: r["answers"][0].update(accepted="true")),
+                         "features", "ingest"),
 }
 
 
@@ -565,6 +592,20 @@ def test_train_without_bootstrap_reports_no_oob_error(cli_dir, tmp_path, capsys)
     assert capsys.readouterr().out.endswith(" resampled rows (oob error undefined)\n")
     model = json.loads((wd / "models/smote/model.rf.json").read_text("utf-8"))
     assert model["oob_error"] is None
+
+
+def test_evaluate_prints_and_returns_the_metrics_json_records(cli_dir, tmp_path, capsys):
+    wd = tmp_path / "wd"
+    shutil.copytree(cli_dir, wd)
+    capsys.readouterr()
+    assert run_cli("evaluate", *common(wd)) == 0
+    doc = json.loads((wd / "report/smote/metrics.json").read_text("utf-8"))
+    assert capsys.readouterr().out.splitlines() == [
+        f"{ev['model']}/{ev['sampler']}: accuracy {ev['accuracy']:.4f}"
+        f" mcc {ev['mcc']:.4f} auc {ev['auc']:.4f}" for ev in doc["evals"]
+    ]
+    cfg = load_config(workdir=str(wd), posts=POSTS, users=USERS)
+    assert cmd_evaluate(cfg) == doc
 
 
 def test_seed_flag_changes_models(cli_dir, tmp_path):

@@ -6,7 +6,6 @@ from soaccept import learners
 from soaccept.errors import DataError
 from soaccept.forest import RfParams, fit_forest
 from soaccept.learners import (
-    ImportanceReport,
     SearchSpace,
     SplitSpec,
     normalized_importance_report,
@@ -245,17 +244,17 @@ def test_report_columns_sum_to_one():
     x, y, forest, net = _noise_models()
     report = normalized_importance_report(
         [f"f{i}" for i in range(8)], forest, net, x, y, seed=3, n_rounds=5)
-    assert isinstance(report, ImportanceReport)
-    assert abs(sum(report.forest) - 1.0) < 1e-9
-    assert abs(sum(report.mlp) - 1.0) < 1e-9
-    assert len(report.names) == 8
+    assert set(report) == {"names", "forest", "mlp"}
+    assert abs(sum(report["forest"]) - 1.0) < 1e-9
+    assert abs(sum(report["mlp"]) - 1.0) < 1e-9
+    assert len(report["names"]) == 8
 
 
 def test_noise_features_stay_near_uniform():
     x, y, forest, net = _noise_models()
     report = normalized_importance_report(
         [f"f{i}" for i in range(8)], forest, net, x, y, seed=4, n_rounds=5)
-    assert max(report.mlp) - min(report.mlp) < 0.1
+    assert max(report["mlp"]) - min(report["mlp"]) < 0.1
 
 
 def test_report_name_count_must_match():

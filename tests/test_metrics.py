@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soaccept.errors import DataError
-from soaccept.learners import ImportanceReport
 from soaccept.metrics import (
     REFERENCE_RESULTS,
     ConfusionMatrix,
-    EvalReport,
     accuracy,
     confusion,
     emit_report,
@@ -20,6 +18,7 @@ from soaccept.metrics import (
     mcc,
     precision,
     recall,
+    report_to_dict,
     roc,
 )
 
@@ -147,14 +146,11 @@ def test_roc_matches_pair_counting_oracle(pairs):
 
 
 def _report(*evals):
-    importance = ImportanceReport(
-        names=("Score", "Reputation"), forest=(0.7, 0.3), mlp=(0.4, 0.6))
-    return EvalReport(
-        evals=evals,
-        importance=importance,
-        info_gain_bits={"Score": 0.51, "Reputation": 0.42},
-        meta={"test_rows": 40},
-    )
+    """`evals` and their metrics.json document, as `emit_report` takes them."""
+    importance = {"names": ["Score", "Reputation"], "forest": [0.7, 0.3], "mlp": [0.4, 0.6]}
+    doc = report_to_dict(evals, importance, info_gain_bits={"Score": 0.51, "Reputation": 0.42},
+                         meta={"test_rows": 40})
+    return doc, evals
 
 
 def _toy_report():
@@ -180,7 +176,7 @@ def test_all_negative_predictions_zero_with_flag(tmp_path):
         evaluate_model("random-forest", "smote", y_true, [0.9, 0.1, 0.8, 0.2]),
         evaluate_model("mlp", "smote", y_true, [0.4, 0.3, 0.2, 0.1]),
     )
-    emit_report(report, tmp_path)
+    emit_report(*report, tmp_path)
     rf, nn = json.loads((tmp_path / "metrics.json").read_text())["evals"]
     assert (nn["precision"], nn["precision_defined"]) == (0.0, False)
     assert (nn["recall"], nn["recall_defined"]) == (0.0, True)
@@ -192,10 +188,11 @@ def test_all_negative_predictions_zero_with_flag(tmp_path):
 
 def test_emit_report_writes_all_files(tmp_path):
     report = _toy_report()
-    written = emit_report(report, tmp_path)
-    assert written == [tmp_path / name
-                       for name in ("metrics.json", "report.md", "roc.csv", "roc.svg")]
+    written, paths = emit_report(*report, tmp_path)
+    assert paths == [tmp_path / name
+                     for name in ("metrics.json", "report.md", "roc.csv", "roc.svg")]
     payload = json.loads((tmp_path / "metrics.json").read_text())
+    assert written == payload
     assert payload["schema_version"] == 1
     assert len(payload["evals"]) == 2
     assert payload["reference"] == REFERENCE_RESULTS
@@ -215,7 +212,7 @@ def test_roc_curves_of_one_sampler_differ_in_colour(tmp_path):
         evaluate_model("random-forest", "smote", y, [0.1, 0.9, 0.8, 0.3]),
         evaluate_model("mlp", "smote", y, [0.4, 0.6, 0.7, 0.2]),
     )
-    emit_report(report, tmp_path)
+    emit_report(*report, tmp_path)
     svg = (tmp_path / "roc.svg").read_text()
     strokes = re.findall(r'<polyline fill="none" stroke="([^"]+)"', svg)
     assert len(strokes) == 2 and strokes[0] != strokes[1]
@@ -225,20 +222,20 @@ def test_emit_report_is_byte_deterministic(tmp_path):
     report = _toy_report()
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
-        emit_report(report, tmp_path / sub)
+        emit_report(*report, tmp_path / sub)
     for name in ("report.md", "roc.csv", "roc.svg", "metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_roc_csv_rows(tmp_path):
     report = _toy_report()
-    emit_report(report, tmp_path)
+    emit_report(*report, tmp_path)
     lines = (tmp_path / "roc.csv").read_text().splitlines()
     assert lines[0] == "model,sampler,fpr,tpr,threshold"
-    expected = sum(len(ev.roc.points) for ev in report.evals)
+    expected = sum(len(ev.roc.points) for ev in report[1])
     assert len(lines) == 1 + expected
 
 
 def test_emit_report_requires_evals(tmp_path):
     with pytest.raises(DataError, match="no model evaluations"):
-        emit_report(_report(), tmp_path)
+        emit_report(*_report(), tmp_path)

@@ -602,7 +602,7 @@ def test_adasyn_models_live_beside_smote(run_dir, tmp_path):
     assert (wd / "models/adasyn/model.rf.json").exists()
     assert (wd / "models/smote/model.rf.json").exists()
     assert (wd / "report/adasyn/metrics.json").exists()
-    assert all(ev.sampler == "adasyn" for ev in report.evals)
+    assert all(ev["sampler"] == "adasyn" for ev in report["evals"])
 
 
 def test_fixture_forest_beats_chance_by_a_wide_margin(run_dir):
