@@ -5,7 +5,8 @@ when it has one, and writes it with sorted keys.  The version that gates
 a whole work directory is `manifest.json`'s, which every command checks
 first.  `read_artifact` also checks the version and kind of the files
 that carry a kind, and `foreign` is its exit-4 error, naming the stage
-to rerun; `read_json` reads any other file as it stands.
+to rerun; `read_json` reads any other file as it stands.  `is_int` is
+the one test of a decoded JSON integer.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import json
 from .errors import StageError
 
 SCHEMA_VERSION = 1
+
+
+def is_int(value) -> bool:
+    # json loads true and false as bools, which isinstance counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def foreign(path, kind: str, stage: str) -> StageError:

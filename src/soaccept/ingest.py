@@ -1,10 +1,13 @@
 """Stream Stack Exchange dump XML, decode rows, and build the labeled dataset.
 
 Dump files (`Posts.xml`, `Users.xml`) hold one `<row .../>` element per
-record under a single root.  Rows are streamed with constant memory,
-decoded into typed records, filtered by tag/year/acceptance rules, and
-persisted as newline-delimited JSON (`dataset.jsonl`), each line carrying
-the work directory's schema version as `v`.
+record under a single root.  `stream_rows` reads them with constant
+memory; the ingest stage decodes them into typed records, filters them by
+tag/year/acceptance rules, and persists them as newline-delimited JSON
+(`dataset.jsonl`), each line carrying the work directory's schema version
+as `v`.  The stage holds every decoded post and user until it writes, so
+its memory grows with the dump.  One field table per post kind states a
+line's format for both its writer and its reader.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
-from .codec import SCHEMA_VERSION, foreign
+from .codec import SCHEMA_VERSION, foreign, is_int
 from .errors import DataError
 
 _TAG_RE = re.compile(r"<([^<>]+)>")
@@ -322,60 +325,46 @@ def build_dataset(
     return records, report
 
 
-def _post_to_json(p: PostRow, question: bool) -> dict:
-    obj = {
-        "id": p.id,
-        "post_type": p.post_type,
-        "creation_ts": format_timestamp(p.creation_ts),
-        "score": p.score,
-        "body": p.body,
-        "owner_user_id": p.owner_user_id,
-        "comment_count": p.comment_count,
-    }
-    if question:
-        obj.update(
-            parent_id=p.parent_id,
-            accepted_answer_id=p.accepted_answer_id,
-            view_count=p.view_count,
-            tags=p.tags,
-            answer_count=p.answer_count,
-        )
-    else:
-        obj["parent_id"] = p.parent_id
+def _int_or_none(value) -> bool:
+    return value is None or is_int(value)
+
+
+# a dataset.jsonl post: each PostRow field it holds, with the test that
+# its JSON value must pass; post_type and creation_ts are written beside them
+_ANSWER_FIELDS = {
+    "id": is_int,
+    "score": is_int,
+    "body": lambda value: isinstance(value, str),
+    "owner_user_id": is_int,
+    "comment_count": is_int,
+    "parent_id": is_int,
+}
+_QUESTION_FIELDS = {
+    **_ANSWER_FIELDS,
+    "parent_id": _int_or_none,
+    "owner_user_id": _int_or_none,
+    "accepted_answer_id": _int_or_none,
+    "view_count": _int_or_none,
+    "tags": lambda value: isinstance(value, list) and all(isinstance(t, str) for t in value),
+    "answer_count": _int_or_none,
+}
+
+
+def _post_to_json(p: PostRow, fields: dict) -> dict:
+    obj = {name: getattr(p, name) for name in fields}
+    obj["post_type"] = p.post_type
+    obj["creation_ts"] = format_timestamp(p.creation_ts)
     return obj
 
 
-def _post_from_json(obj: dict, post_type: str) -> PostRow:
-    return PostRow(
-        id=obj["id"],
-        post_type=post_type,
-        creation_ts=parse_timestamp(obj["creation_ts"]),
-        score=obj["score"],
-        body=obj["body"],
-        parent_id=obj.get("parent_id"),
-        accepted_answer_id=obj.get("accepted_answer_id"),
-        view_count=obj.get("view_count"),
-        owner_user_id=obj.get("owner_user_id"),
-        tags=obj.get("tags", []),
-        answer_count=obj.get("answer_count"),
-        comment_count=obj.get("comment_count", 0),
-    )
-
-
-def _is_int(value) -> bool:
-    # JSON's true and false load as bools, which isinstance counts as ints
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _well_typed(p: PostRow) -> bool:
-    """Whether `p`'s fields have the JSON types `_post_to_json` writes; a
-    timestamp that is not a string already fails in `parse_timestamp`."""
-    return (_is_int(p.id) and _is_int(p.score) and _is_int(p.comment_count)
-            and isinstance(p.body, str)
-            and isinstance(p.tags, list) and all(isinstance(t, str) for t in p.tags)
-            and all(v is None or _is_int(v) for v in (
-                p.parent_id, p.accepted_answer_id, p.view_count, p.owner_user_id,
-                p.answer_count)))
+def _post_from_json(obj: dict, post_type: str, fields: dict) -> PostRow | None:
+    """The post `_post_to_json` wrote as `obj`, or None if a field fails
+    its test; a missing key raises KeyError."""
+    values = {name: obj[name] for name in fields}
+    if not all(test(values[name]) for name, test in fields.items()):
+        return None
+    return PostRow(post_type=post_type, creation_ts=parse_timestamp(obj["creation_ts"]),
+                   **values)
 
 
 def write_dataset(records: list[QARecord], path) -> None:
@@ -383,10 +372,10 @@ def write_dataset(records: list[QARecord], path) -> None:
         for rec in records:
             obj = {
                 "v": SCHEMA_VERSION,
-                "question": _post_to_json(rec.question, question=True),
+                "question": _post_to_json(rec.question, _QUESTION_FIELDS),
                 "answers": [
                     {
-                        **_post_to_json(a.post, question=False),
+                        **_post_to_json(a.post, _ANSWER_FIELDS),
                         "reputation": a.user.reputation,
                         "user_creation_ts": format_timestamp(a.user.creation_ts),
                         "accepted": a.accepted,
@@ -405,26 +394,23 @@ def read_dataset(path) -> list[QARecord]:
                 continue
             try:
                 obj = json.loads(line)
-                version = obj.get("v")
+                question = _post_from_json(obj["question"], "question", _QUESTION_FIELDS)
                 answers = [
                     AnswerEntry(
-                        post=_post_from_json(a, "answer"),
-                        user=UserRow(
-                            id=a["owner_user_id"],
-                            reputation=a["reputation"],
-                            creation_ts=parse_timestamp(a["user_creation_ts"]),
-                        ),
+                        post=_post_from_json(a, "answer", _ANSWER_FIELDS),
+                        user=UserRow(id=a["owner_user_id"], reputation=a["reputation"],
+                                     creation_ts=parse_timestamp(a["user_creation_ts"])),
                         accepted=a["accepted"],
                     )
                     for a in obj["answers"]
                 ]
-                question = _post_from_json(obj["question"], "question")
+                well_typed = (is_int(obj["v"]) and obj["v"] == SCHEMA_VERSION
+                              and question is not None
+                              and all(a.post is not None and is_int(a.user.reputation)
+                                      and isinstance(a.accepted, bool) for a in answers))
             except (AttributeError, KeyError, TypeError, ValueError):
-                version = None  # not JSON, not an object, or a key missing
-            if not (_is_int(version) and version == SCHEMA_VERSION and _well_typed(question)
-                    and all(_well_typed(a.post) and _is_int(a.user.id)
-                            and _is_int(a.user.reputation) and isinstance(a.accepted, bool)
-                            for a in answers)):
+                well_typed = False  # not JSON, not an object, or a key missing
+            if not well_typed:
                 raise foreign(f"{path} line {line_no}", "dataset", "ingest")
             records.append(QARecord(question=question, answers=answers))
     return records

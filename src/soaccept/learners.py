@@ -202,9 +202,9 @@ def normalized_importance_report(
 ) -> dict:
     """Per-feature weight columns for both models, each summing to 1, as
     metrics.json's ``importance`` section holds them: ``names``, then
-    ``forest``, its normalized mean impurity decrease, and ``mlp``, the
-    network's normalized seeded permutation importance on the (scaled)
-    test split.
+    ``forest``, its mean impurity decrease as `fit_forest` normalized it,
+    and ``mlp``, the network's normalized seeded permutation importance
+    on the (scaled) test split.
     """
     names = list(names)
     if len(names) != forest_model.n_features or len(names) != mlp_model.n_features:
@@ -215,6 +215,6 @@ def normalized_importance_report(
     )
     return {
         "names": names,
-        "forest": _normalize(forest_model.importances).tolist(),
+        "forest": forest_model.importances.tolist(),
         "mlp": _normalize(drops).tolist(),
     }

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import read_artifact, read_json, write_json
+from .codec import foreign, is_int, read_artifact, read_json, write_json
 from .errors import ConfigError, DataError
 from .features import (
     FEATURE_NAMES,
@@ -329,9 +329,13 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> dict:
     selection, retained, x = _read_selection(cfg, matrix)
     y = matrix.y.astype(np.int8)
 
-    split = read_json(artifact(cfg, "models/{}/split.json"))
-    test_idx = np.asarray(split["test"], dtype=np.int64)
-    train_rows = len(split["train"])
+    path = artifact(cfg, "models/{}/split.json")
+    split = read_json(path)
+    sides = [split.get(k) for k in ("train", "test")] if isinstance(split, dict) else [None]
+    if not all(isinstance(side, list) and all(is_int(i) and 0 <= i < len(y) for i in side)
+               for side in sides):
+        raise foreign(path, "split", "train")
+    train_rows, test_idx = len(sides[0]), np.asarray(sides[1], dtype=np.int64)
     x_test, y_test = x[test_idx], y[test_idx]
 
     forest = load_forest(artifact(cfg, "models/{}/model.rf.json"))
@@ -397,7 +401,7 @@ def _candidate_int(value, what: str) -> int | None:
     error rather than a silent imputation."""
     if value is None:
         return None
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise DataError(f"{what}: not an integer: {value!r}")
     if not fits_int64(value):
         raise DataError(f"{what}: outside the signed 64-bit range")
@@ -410,7 +414,7 @@ def _candidate_ts(value, what: str) -> int | None:
             return parse_timestamp(value)
         except ValueError:
             raise DataError(f"{what}: not a timestamp: {value!r}") from None
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+    if value is not None and not is_int(value):
         raise DataError(f"{what} must be an ISO-8601 string or epoch milliseconds")
     return _candidate_int(value, what)
 

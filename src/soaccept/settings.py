@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+from .codec import is_int
 from .errors import ConfigError, DataError
 from .forest import RfParams
 from .ingest import IngestFilter
@@ -55,15 +56,11 @@ DEFAULT_CONFIG = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     # finite only: json also reads NaN, Infinity and integers past a
     # float's range, which no setting means
     try:
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+        return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
     except OverflowError:
         return False
 
@@ -72,12 +69,12 @@ def _is_number(value) -> bool:
 _TYPE_RULE = {
     type(None): (lambda v: v is None or isinstance(v, str), "a path string or null"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (_is_int, "an integer"),
+    int: (is_int, "an integer"),
     float: (_is_number, "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
 # the one union, a name or a count; RfParams checks which names and counts
-_NAME_OR_INT = (lambda v: _is_int(v) or isinstance(v, str), "a name or an integer")
+_NAME_OR_INT = (lambda v: is_int(v) or isinstance(v, str), "a name or an integer")
 _NAME_OR_INT_KEYS = ("forest.max_features", "search.max_features")
 
 

@@ -306,6 +306,15 @@ _FOREIGN = {
     "dataset-accepted": ("dataset.jsonl",
                          _edit_record(lambda r: r["answers"][0].update(accepted="true")),
                          "features", "ingest"),
+    # the first question without a key that ingest always writes
+    "dataset-missing": ("dataset.jsonl", _edit_record(lambda r: r["question"].pop("view_count")),
+                        "features", "ingest"),
+    # a split without its test side; one whose test side names a row past
+    # the last and a boolean
+    "split": ("models/smote/split.json",
+              lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "test"}),
+              "evaluate", "train"),
+    "split-index": ("models/smote/split.json", _edit_json(test=[785, True]), "evaluate", "train"),
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,9 +244,15 @@ def _noise_models(n=300, d=8, seed=7):
 
 def test_report_columns_sum_to_one():
     x, y, forest, net = _noise_models()
+    # normalized weights whose float sum is not exactly 1.0: dividing them
+    # by it again would change them in the last digit
+    raw = np.arange(1, 9) * 2 + 0.1
+    forest = dataclasses.replace(forest, importances=raw / raw.sum())
+    assert forest.importances.sum() != 1.0
     report = normalized_importance_report(
         [f"f{i}" for i in range(8)], forest, net, x, y, seed=3, n_rounds=5)
     assert set(report) == {"names", "forest", "mlp"}
+    assert report["forest"] == forest.importances.tolist()
     assert abs(sum(report["forest"]) - 1.0) < 1e-9
     assert abs(sum(report["mlp"]) - 1.0) < 1e-9
     assert len(report["names"]) == 8
