@@ -97,7 +97,7 @@ def fit_tfidf(corpus: list[list[str]]) -> TfIdfModel:
 
 def save_tfidf(model: TfIdfModel, path) -> None:
     terms = sorted(model.vocabulary, key=model.vocabulary.get)
-    payload = {"terms": terms, "df": [int(v) for v in model.df], "n_docs": model.n_docs}
+    payload = {"terms": terms, "df": model.df.tolist(), "n_docs": model.n_docs}
     write_json(path, payload, kind="tfidf", compact=True)
 
 

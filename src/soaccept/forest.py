@@ -316,14 +316,14 @@ def save_forest(model: ForestModel, path) -> None:
         "n_features": model.n_features,
         "feature_names": list(model.feature_names) if model.feature_names else None,
         "oob_error": model.oob_error,
-        "importances": [float(v) for v in model.importances],
+        "importances": model.importances.tolist(),
         "trees": [
             {
-                "feature": [int(v) for v in t.feature],
-                "threshold": [float(v) for v in t.threshold],
-                "left": [int(v) for v in t.left],
-                "right": [int(v) for v in t.right],
-                "proba1": [float(v) for v in t.proba1],
+                "feature": t.feature.tolist(),
+                "threshold": t.threshold.tolist(),
+                "left": t.left.tolist(),
+                "right": t.right.tolist(),
+                "proba1": t.proba1.tolist(),
             }
             for t in model.trees
         ],

@@ -325,28 +325,32 @@ def build_dataset(
     return records, report
 
 
-def _int_or_none(value) -> bool:
-    return value is None or is_int(value)
+def _int64(value) -> bool:
+    return is_int(value) and fits_int64(value)
+
+
+def _int64_or_none(value) -> bool:
+    return value is None or _int64(value)
 
 
 # a dataset.jsonl post: each PostRow field it holds, with the test that
 # its JSON value must pass; post_type and creation_ts are written beside them
 _ANSWER_FIELDS = {
-    "id": is_int,
-    "score": is_int,
+    "id": _int64,
+    "score": _int64,
     "body": lambda value: isinstance(value, str),
-    "owner_user_id": is_int,
-    "comment_count": is_int,
-    "parent_id": is_int,
+    "owner_user_id": _int64,
+    "comment_count": _int64,
+    "parent_id": _int64,
 }
 _QUESTION_FIELDS = {
     **_ANSWER_FIELDS,
-    "parent_id": _int_or_none,
-    "owner_user_id": _int_or_none,
-    "accepted_answer_id": _int_or_none,
-    "view_count": _int_or_none,
+    "parent_id": _int64_or_none,
+    "owner_user_id": _int64_or_none,
+    "accepted_answer_id": _int64_or_none,
+    "view_count": _int64_or_none,
     "tags": lambda value: isinstance(value, list) and all(isinstance(t, str) for t in value),
-    "answer_count": _int_or_none,
+    "answer_count": _int64_or_none,
 }
 
 
@@ -406,7 +410,7 @@ def read_dataset(path) -> list[QARecord]:
                 ]
                 well_typed = (is_int(obj["v"]) and obj["v"] == SCHEMA_VERSION
                               and question is not None
-                              and all(a.post is not None and is_int(a.user.reputation)
+                              and all(a.post is not None and _int64(a.user.reputation)
                                       and isinstance(a.accepted, bool) for a in answers))
             except (AttributeError, KeyError, TypeError, ValueError):
                 well_typed = False  # not JSON, not an object, or a key missing

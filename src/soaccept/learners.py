@@ -195,7 +195,7 @@ def normalized_importance_report(
     names,
     forest_model: ForestModel,
     mlp_model: MlpModel,
-    x_test_scaled,
+    x_test,
     y_test,
     seed: int,
     n_rounds: int,
@@ -204,13 +204,13 @@ def normalized_importance_report(
     metrics.json's ``importance`` section holds them: ``names``, then
     ``forest``, its mean impurity decrease as `fit_forest` normalized it,
     and ``mlp``, the network's normalized seeded permutation importance
-    on the (scaled) test split.
+    on the test split.
     """
     names = list(names)
     if len(names) != forest_model.n_features or len(names) != mlp_model.n_features:
         raise DataError("feature-name count does not match the models")
     drops = permutation_importance(
-        lambda m: mlp_predict_proba(mlp_model, m), x_test_scaled, y_test,
+        lambda m: mlp_predict_proba(mlp_model, m), x_test, y_test,
         seed=derive_seed(seed, "mlp-permutation"), n_rounds=n_rounds,
     )
     return {

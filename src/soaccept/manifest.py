@@ -40,7 +40,7 @@ _STAGES = {
               ("features.csv", "selection.json")),
     "evaluate": ("evaluation report", ("seed", "evaluate"),
                  ("features.csv", "selection.json", "models/{}/model.rf.json",
-                  "models/{}/model.mlp.json", "models/{}/scaler.json", "models/{}/split.json")),
+                  "models/{}/model.mlp.json", "models/{}/split.json")),
 }
 
 

@@ -3,9 +3,7 @@
 The architecture is fixed at five hidden layers:
 [d_in, h1, h2, h3, h4, h5, 1], logistic activation everywhere, binary
 cross-entropy loss.  The loss and its gradients are computed from the
-output pre-activation, keeping saturated probabilities finite.  Inputs
-are expected standardized; the pipeline persists the scaler alongside
-the model.
+output pre-activation, keeping saturated probabilities finite.
 """
 
 from __future__ import annotations
@@ -14,8 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import read_artifact, write_json
+from .codec import foreign, read_artifact, write_json
 from .errors import DataError
+from .resample import Scaler, standardize
 from .seeding import derive_seed
 
 N_HIDDEN_LAYERS = 5
@@ -65,6 +64,7 @@ class MlpModel:
     biases: list  # per layer, shape (n_out,)
     config: MlpConfig
     n_features: int
+    scaler: Scaler  # the training rows' z-scores, applied to every input
     loss_history: tuple = ()
 
 
@@ -171,7 +171,8 @@ def init_parameters(n_features: int, config: MlpConfig):
 
 
 def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
-    """Train with mini-batch SGD under a seeded per-epoch shuffle.
+    """Train with mini-batch SGD under a seeded per-epoch shuffle, on the
+    z-scores of `x`'s columns; the model keeps their `Scaler`.
 
     Each epoch's entry in `loss_history` is the row-weighted mean of the
     losses of its minibatches, each taken before that batch's update.  A
@@ -188,6 +189,7 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
         raise DataError("cannot train on zero rows")
     if not np.isin(np.unique(y), (0, 1)).all():
         raise DataError("labels must be 0/1")
+    x, scaler = standardize(x)
     n, d = x.shape
     y = y.astype(np.float64)
     weights, biases = init_parameters(d, config)
@@ -227,6 +229,7 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
         biases=biases,
         config=config,
         n_features=d,
+        scaler=scaler,
         loss_history=tuple(history),
     )
 
@@ -235,7 +238,7 @@ def mlp_predict_proba(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DataError(f"expected {model.n_features} feature columns")
-    _, z_out = _forward(model.weights, model.biases, x)
+    _, z_out = _forward(model.weights, model.biases, model.scaler.transform(x))
     return _sigmoid(z_out).ravel()
 
 
@@ -243,8 +246,10 @@ def save_mlp(model: MlpModel, path) -> None:
     payload = {
         "config": asdict(model.config),
         "n_features": model.n_features,
-        "weights": [[[float(v) for v in row] for row in w] for w in model.weights],
-        "biases": [[float(v) for v in b] for b in model.biases],
+        "mean": model.scaler.mean.tolist(),
+        "sd": model.scaler.sd.tolist(),
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
         "loss_history": [float(v) for v in model.loss_history],
     }
     write_json(path, payload, kind="mlp", compact=True)
@@ -252,10 +257,14 @@ def save_mlp(model: MlpModel, path) -> None:
 
 def load_mlp(path) -> MlpModel:
     payload = read_artifact(path, "mlp", "train")
+    if not {"mean", "sd"} <= payload.keys():  # no input scaling to score with
+        raise foreign(path, "mlp", "train")
     return MlpModel(
         weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
         biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
         config=MlpConfig(**payload["config"]),
         n_features=int(payload["n_features"]),
+        scaler=Scaler(mean=np.asarray(payload["mean"], dtype=np.float64),
+                      sd=np.asarray(payload["sd"], dtype=np.float64)),
         loss_history=tuple(payload["loss_history"]),
     )

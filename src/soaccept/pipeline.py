@@ -66,7 +66,8 @@ from .manifest import (
 )
 from .metrics import emit_report, evaluate_model, report_to_dict
 from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
-from .resample import Scaler, apply_plan, standardize
+# `standardize` is not called here: perfbench/tracer.py wraps pipeline.standardize
+from .resample import apply_plan, standardize
 from .seeding import derive_seed
 from .selection import select_features
 from .settings import RunConfig
@@ -168,14 +169,17 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
 
 def _read_selection(cfg: RunConfig, matrix):
     """selection.json, the features it retains, and `matrix`'s columns of them."""
-    selection = read_json(artifact(cfg, "selection.json"))
-    retained = selection.get("retained", [])
+    path = artifact(cfg, "selection.json")
+    selection = read_json(path)
+    fields = selection if isinstance(selection, dict) else {}
+    retained, gains = fields.get("retained"), fields.get("info_gain_bits")
+    if not (isinstance(retained, list) and all(name in FEATURE_NAMES for name in retained)
+            and isinstance(gains, dict)
+            and all(isinstance(v, float) or is_int(v) for v in gains.values())):
+        raise foreign(path, "selection", "select")
     if not retained:
         raise DataError("feature selection retained no features; lower the thresholds")
-    try:
-        cols = [matrix.names.index(name) for name in retained]
-    except ValueError as exc:
-        raise DataError(f"selection.json names an unknown feature: {exc}") from exc
+    cols = [matrix.names.index(name) for name in retained]
     return selection, retained, matrix.x[:, cols]
 
 
@@ -191,14 +195,14 @@ def _worker_count(threads: int, tasks: int) -> int:
     return min(threads, tasks, cpus)
 
 
-def _fit_network(z, y, config: MlpConfig):
+def _fit_network(x, y, config: MlpConfig):
     # submitted by reference, so the pool never pickles whatever object
     # `fit_mlp` is bound to in this module; the worker looks it up
-    return fit_mlp(z, y, config)
+    return fit_mlp(x, y, config)
 
 
-def _fit_models(x, z, y, params: RfParams, config: MlpConfig, threads: int):
-    """The forest on `x` and the network on its standardized copy `z`.
+def _fit_models(x, y, params: RfParams, config: MlpConfig, threads: int):
+    """The forest and the network, both on `x`.
 
     With more than one worker the fits share one pool of forked
     processes: the network goes in first, as one task, and contiguous
@@ -212,13 +216,13 @@ def _fit_models(x, z, y, params: RfParams, config: MlpConfig, threads: int):
     """
     workers = _worker_count(threads, 1 + params.n_estimators)
     if workers == 1:
-        return fit_forest(x, y, params), fit_mlp(z, y, config)
+        return fit_forest(x, y, params), fit_mlp(x, y, config)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        network = pool.submit(_fit_network, z, y, config)
+        network = pool.submit(_fit_network, x, y, config)
         blocks = [
             pool.submit(fit_trees, x, y, params, block.tolist())
             for block in np.array_split(np.arange(params.n_estimators), workers)
@@ -257,8 +261,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
         params = cfg.rf_params()
 
     x_res, y_res = apply_plan(x_train, y_train, plan)
-    z_res, scaler = standardize(x_res)
-    forest, mlp = _fit_models(x_res, z_res, y_res, params, cfg.mlp_config(), cfg.threads)
+    forest, mlp = _fit_models(x_res, y_res, params, cfg.mlp_config(), cfg.threads)
     forest.feature_names = tuple(retained)
 
     # medians of the raw training split, for imputing unobserved features
@@ -271,11 +274,6 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     save_mlp(mlp, outputs[1])
     # label -> (kind, payload)
     payloads = {
-        "models/{}/scaler.json": ("scaler", {
-            "names": list(retained),
-            "mean": scaler.mean.tolist(),
-            "sd": scaler.sd.tolist(),
-        }),
         "models/{}/medians.json": ("medians", {
             "names": list(FEATURE_NAMES),
             "values": medians.tolist(),
@@ -309,14 +307,6 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     }
 
 
-def _load_scaler(cfg: RunConfig) -> Scaler:
-    payload = read_artifact(artifact(cfg, "models/{}/scaler.json"), "scaler", "train")
-    return Scaler(
-        mean=np.asarray(payload["mean"], dtype=np.float64),
-        sd=np.asarray(payload["sd"], dtype=np.float64),
-    )
-
-
 def cmd_evaluate(cfg: RunConfig, matrix=None) -> dict:
     """Held-out metrics + importance rankings -> report/<sampler>/; the
     metrics.json document it writes there, as it was written.
@@ -340,17 +330,16 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> dict:
 
     forest = load_forest(artifact(cfg, "models/{}/model.rf.json"))
     mlp = load_mlp(artifact(cfg, "models/{}/model.mlp.json"))
-    z_test = _load_scaler(cfg).transform(x_test)
 
     rf_scores = forest_predict_proba(forest, x_test)
-    mlp_scores = mlp_predict_proba(mlp, z_test)
+    mlp_scores = mlp_predict_proba(mlp, x_test)
     sampler = cfg.sampler
     evals = (
         evaluate_model("random-forest", sampler, y_test, rf_scores),
         evaluate_model("mlp", sampler, y_test, mlp_scores),
     )
     importance = normalized_importance_report(
-        retained, forest, mlp, z_test, y_test,
+        retained, forest, mlp, x_test, y_test,
         seed=derive_seed(cfg.seed, "importance"),
         n_rounds=cfg.settings["evaluate"]["importance_rounds"],
     )
@@ -543,7 +532,7 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
         scores = forest_predict_proba(forest, x)
     else:
         mlp = load_mlp(artifact(cfg, "models/{}/model.mlp.json"))
-        scores = mlp_predict_proba(mlp, _load_scaler(cfg).transform(x))
+        scores = mlp_predict_proba(mlp, x)
 
     order = sorted(range(n), key=lambda i: (-scores[i], i))
     return {

@@ -245,6 +245,13 @@ def _edit_json(**changes):
     return edit
 
 
+def _without(*keys):
+    """An edit of a JSON file that removes `keys`."""
+    def edit(text):
+        return json.dumps({k: v for k, v in json.loads(text).items() if k not in keys})
+    return edit
+
+
 def _redigest(wd: Path, rel: str) -> None:
     """Record `rel`'s new digest wherever manifest.json names it, so that
     the file's own check, not the digest check, is what meets it."""
@@ -273,8 +280,8 @@ _FOREIGN = {
     "tfidf": ("tfidf.json", _edit_json(schema_version=2), "rank", "features"),
     "rf": ("models/smote/model.rf.json", _edit_json(schema_version=2), "evaluate", "train"),
     "mlp": ("models/smote/model.mlp.json", _edit_json(schema_version=2), "evaluate", "train"),
-    "scaler": ("models/smote/scaler.json", _edit_json(schema_version=2), "evaluate", "train"),
-    "scaler-kind": ("models/smote/scaler.json", _edit_json(kind="medians"), "evaluate", "train"),
+    # a network saved without its input scaling, as earlier versions wrote it
+    "mlp-unscaled": ("models/smote/model.mlp.json", _without("mean", "sd"), "evaluate", "train"),
     "medians": ("models/smote/medians.json", _edit_json(schema_version=2), "rank", "train"),
     # the first record's version; the first header name
     "dataset": ("dataset.jsonl", lambda text: text.replace('"v": 1', '"v": 2', 1),
@@ -306,15 +313,20 @@ _FOREIGN = {
     "dataset-accepted": ("dataset.jsonl",
                          _edit_record(lambda r: r["answers"][0].update(accepted="true")),
                          "features", "ingest"),
+    # the first answer's score wider than 64 bits
+    "dataset-wide": ("dataset.jsonl",
+                     _edit_record(lambda r: r["answers"][0].update(score=10**400 - 1)),
+                     "features", "ingest"),
     # the first question without a key that ingest always writes
     "dataset-missing": ("dataset.jsonl", _edit_record(lambda r: r["question"].pop("view_count")),
                         "features", "ingest"),
     # a split without its test side; one whose test side names a row past
     # the last and a boolean
-    "split": ("models/smote/split.json",
-              lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "test"}),
-              "evaluate", "train"),
+    "split": ("models/smote/split.json", _without("test"), "evaluate", "train"),
     "split-index": ("models/smote/split.json", _edit_json(test=[785, True]), "evaluate", "train"),
+    # a selection without the features it retains; without their information gains
+    "selection": ("selection.json", _without("retained"), "evaluate", "select"),
+    "selection-gain": ("selection.json", _without("info_gain_bits"), "evaluate", "select"),
 }
 
 

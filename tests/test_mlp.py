@@ -22,6 +22,7 @@ from soaccept.mlp import (
     mlp_predict_proba,
     save_mlp,
 )
+from soaccept.resample import Scaler, standardize
 from soaccept.seeding import derive_seed
 
 SMALL = MlpConfig(hidden=(8, 6, 5, 4, 3), learning_rate=0.5, batch_size=16,
@@ -54,7 +55,8 @@ def test_zero_parameters_predict_half():
     weights, biases = init_parameters(2, cfg)
     weights = [np.zeros_like(w) for w in weights]
     biases = [np.zeros_like(b) for b in biases]
-    model = MlpModel(weights=weights, biases=biases, config=cfg, n_features=2)
+    identity = Scaler(mean=np.zeros(2), sd=np.ones(2))
+    model = MlpModel(weights=weights, biases=biases, config=cfg, n_features=2, scaler=identity)
     proba = mlp_predict_proba(model, np.array([[5.0, -3.0], [0.0, 0.0]]))
     assert np.array_equal(proba, np.array([0.5, 0.5]))
 
@@ -198,8 +200,9 @@ def test_divergence_error_survives_pickle():
 
 
 def _fit_with_minibatch_epoch_loss(x, y, config):
-    """fit_mlp written out: plain SGD, and for each epoch the
-    row-weighted mean of the losses its minibatches returned."""
+    """fit_mlp written out: plain SGD on the z-scores of `x`, and for each
+    epoch the row-weighted mean of the losses its minibatches returned."""
+    x, _ = standardize(x)
     weights, biases = init_parameters(x.shape[1], config)
     rng = np.random.default_rng(derive_seed(config.seed, "sgd"))
     history = []

@@ -190,7 +190,6 @@ def test_run_produces_all_artifacts(run_dir):
         "selection.json",
         "models/smote/model.rf.json",
         "models/smote/model.mlp.json",
-        "models/smote/scaler.json",
         "models/smote/medians.json",
         "models/smote/split.json",
         "report/smote/report.md",
@@ -233,8 +232,7 @@ def test_every_json_file_carries_the_schema_version(run_dir):
         if "kind" in doc:
             kinds[path.name] = doc["kind"]
     assert kinds == {"tfidf.json": "tfidf", "model.rf.json": "random-forest",
-                     "model.mlp.json": "mlp", "scaler.json": "scaler",
-                     "medians.json": "medians"}
+                     "model.mlp.json": "mlp", "medians.json": "medians"}
     with open(run_dir / "dataset.jsonl", encoding="utf-8") as fh:
         assert {json.loads(line)["v"] for line in fh} == {1}
 
@@ -293,7 +291,7 @@ def test_thread_count_does_not_change_models(run_dir, tmp_path):
         for threads in (1, 2, 16):
             cmd_train(make_config(wd, threads=threads, **{"resample.method": method}))
             written.append(_files(wd / "models" / method))
-        assert len(written[0]) == 5
+        assert len(written[0]) == 4
         assert written[0] == written[1] == written[2], method
     assert _files(wd / "models/smote") == _files(run_dir / "models/smote")
 
@@ -437,7 +435,7 @@ def test_run_hashes_each_file_once(tmp_path, monkeypatch):
     stages = json.loads((wd / "manifest.json").read_text("utf-8"))["stages"]
     outputs = [(wd / rel).resolve() for entry in stages.values() for rel in entry["outputs"]]
     assert sorted(hashed) == sorted([Path(POSTS).resolve(), Path(USERS).resolve(), *outputs])
-    assert len(hashed) == 17
+    assert len(hashed) == 16
 
 
 def test_run_memo_ends_with_the_run(tmp_path):
@@ -497,7 +495,6 @@ def test_manifest_records_each_stage_inputs(run_dir, tmp_path, sampler):
             "features.csv",
             f"{models}/model.mlp.json",
             f"{models}/model.rf.json",
-            f"{models}/scaler.json",
             f"{models}/split.json",
             "selection.json",
         ],
