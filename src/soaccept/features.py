@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .codec import foreign, read_artifact, write_json
+from .codec import foreign, is_int, read_artifact, write_json
 from .errors import DataError
 from .ingest import PostRow, QARecord, UserRow
 from .textprep import (
@@ -102,11 +102,18 @@ def save_tfidf(model: TfIdfModel, path) -> None:
 
 
 def load_tfidf(path) -> TfIdfModel:
+    """The model saved at `path`; exit 4 unless its `terms` are strings,
+    `df` holds one positive count per term and `n_docs` is positive."""
     payload = read_artifact(path, "tfidf", "features")
+    terms, df, n_docs = (payload.get(k) for k in ("terms", "df", "n_docs"))
+    if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
+            and isinstance(df, list) and len(df) == len(terms)
+            and all(is_int(n) and n > 0 for n in df) and is_int(n_docs) and n_docs > 0):
+        raise foreign(path, "tfidf", "features")
     return TfIdfModel(
-        vocabulary={t: i for i, t in enumerate(payload["terms"])},
-        df=np.asarray(payload["df"], dtype=np.int64),
-        n_docs=int(payload["n_docs"]),
+        vocabulary={t: i for i, t in enumerate(terms)},
+        df=np.asarray(df, dtype=np.int64),
+        n_docs=n_docs,
     )
 
 

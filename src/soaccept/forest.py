@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import read_artifact, write_json
+from .codec import foreign, read_artifact, write_json
 from .errors import DataError
 from .seeding import derive_seed
 
@@ -331,20 +331,49 @@ def save_forest(model: ForestModel, path) -> None:
     write_json(path, payload, kind="random-forest", compact=True)
 
 
+def _trees_well_formed(trees: list[DecisionTree], d: int) -> bool:
+    """Whether each tree's five arrays share one nonzero length, every
+    feature lies in [-1, d), and each internal node's children lie after
+    it and inside its tree.  `fit_tree` stores every parent before its
+    children, so a tree that passes has no cycle for a walk to loop on.
+    One pass covers all trees' arrays, joined end to end."""
+    shapes = [(t.feature.size,) for t in trees]
+    if not trees or (0,) in shapes or any(
+        [getattr(t, k).shape for t in trees] != shapes
+        for k in ("feature", "threshold", "left", "right", "proba1")
+    ):
+        return False
+    feature, left, right = (np.concatenate([getattr(t, k) for t in trees])
+                            for k in ("feature", "left", "right"))
+    sizes = np.array(shapes).ravel()
+    n_nodes = np.repeat(sizes, sizes)  # of each node's tree
+    node = np.arange(n_nodes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    inner = feature >= 0
+    node, n_nodes = node[inner], n_nodes[inner]
+    return bool((feature >= -1).all() and (feature < d).all() and all(
+        ((child[inner] > node) & (child[inner] < n_nodes)).all() for child in (left, right)
+    ))
+
+
 def load_forest(path) -> ForestModel:
     payload = read_artifact(path, "random-forest", "train")
     d = int(payload["n_features"])
-    trees = [
-        DecisionTree(
-            feature=np.asarray(t["feature"], dtype=np.int32),
-            threshold=np.asarray(t["threshold"], dtype=np.float64),
-            left=np.asarray(t["left"], dtype=np.int32),
-            right=np.asarray(t["right"], dtype=np.int32),
-            proba1=np.asarray(t["proba1"], dtype=np.float64),
-            feature_decrease=np.zeros(d),
-        )
-        for t in payload["trees"]
-    ]
+    try:
+        trees = [
+            DecisionTree(
+                feature=np.asarray(t["feature"], dtype=np.int32),
+                threshold=np.asarray(t["threshold"], dtype=np.float64),
+                left=np.asarray(t["left"], dtype=np.int32),
+                right=np.asarray(t["right"], dtype=np.int32),
+                proba1=np.asarray(t["proba1"], dtype=np.float64),
+                feature_decrease=np.zeros(d),
+            )
+            for t in payload["trees"]
+        ]
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        raise foreign(path, "random-forest", "train") from None
+    if not _trees_well_formed(trees, d):
+        raise foreign(path, "random-forest", "train")
     names = payload.get("feature_names")
     return ForestModel(
         params=RfParams(**payload["params"]),

@@ -256,15 +256,31 @@ def save_mlp(model: MlpModel, path) -> None:
 
 
 def load_mlp(path) -> MlpModel:
+    """The network saved at `path`; exit 4 unless its scaling and every
+    layer's weights and biases have the shapes that its `n_features` and
+    `config.hidden` give."""
     payload = read_artifact(path, "mlp", "train")
     if not {"mean", "sd"} <= payload.keys():  # no input scaling to score with
         raise foreign(path, "mlp", "train")
+    config = MlpConfig(**payload["config"])
+    n_features = int(payload["n_features"])
+    try:
+        mean, sd = (np.asarray(payload[k], dtype=np.float64) for k in ("mean", "sd"))
+        weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise foreign(path, "mlp", "train") from None
+    sizes = (n_features, *config.hidden, 1)
+    layers = list(zip(sizes[1:], sizes))  # (n_out, n_in) of each layer
+    if ([mean.shape, sd.shape] != [(n_features,)] * 2
+            or [w.shape for w in weights] != layers
+            or [b.shape for b in biases] != [(n_out,) for n_out, _ in layers]):
+        raise foreign(path, "mlp", "train")
     return MlpModel(
-        weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-        config=MlpConfig(**payload["config"]),
-        n_features=int(payload["n_features"]),
-        scaler=Scaler(mean=np.asarray(payload["mean"], dtype=np.float64),
-                      sd=np.asarray(payload["sd"], dtype=np.float64)),
+        weights=weights,
+        biases=biases,
+        config=config,
+        n_features=n_features,
+        scaler=Scaler(mean=mean, sd=sd),
         loss_history=tuple(payload["loss_history"]),
     )

@@ -408,11 +408,18 @@ def _candidate_ts(value, what: str) -> int | None:
     return _candidate_int(value, what)
 
 
+# the request field and the feature column of each answer's count
+_REQUEST_COUNTS = (("score", "Score"), ("comment_count", "CommentCount"),
+                   ("reputation", "Reputation"))
+
+
 def _candidate_record(payload: dict) -> tuple[QARecord, list]:
     """Build a pseudo question/answer record from a rank request.
 
-    Returns the record plus, per answer, the names of features that were
-    not observable in the request and must be median-imputed.
+    Returns the record plus, per answer, a dict from each feature the
+    request feeds to its value, or None where the request cannot supply
+    it.  The record's clocks and counts are 0, so `extract_matrix` keeps
+    every row and leaves those columns for `cmd_rank` to fill.
     """
     if not isinstance(payload, dict):
         raise DataError('rank input must be a JSON object with "question" and "answers"')
@@ -429,67 +436,38 @@ def _candidate_record(payload: dict) -> tuple[QARecord, list]:
         raise DataError("no candidate answers to rank")
 
     q_ts = _candidate_ts(question.get("creation_ts"), "question.creation_ts")
-    q_row = PostRow(
-        id=0,
-        post_type="question",
-        creation_ts=q_ts if q_ts is not None else 0,
-        body=question["body"],
-        view_count=_candidate_int(question.get("view_count"), "question.view_count"),
-        tags=list(tags),
-    )
+    view_count = _candidate_int(question.get("view_count"), "question.view_count")
+    q_row = PostRow(id=0, post_type="question", creation_ts=0, body=question["body"],
+                    tags=list(tags))
 
-    entries = []
-    imputed: list = []
+    entries, values = [], []
     for i, answer in enumerate(answers):
         if not isinstance(answer, dict) or not isinstance(answer.get("body"), str):
             raise DataError(f'answers[{i}] needs a "body" string')
-        missing = set()
         a_ts = _candidate_ts(answer.get("creation_ts"), f"answers[{i}].creation_ts")
         signup_ts = _candidate_ts(
             answer.get("user_creation_ts"), f"answers[{i}].user_creation_ts"
         )
         # the signup lag runs to the answer's own clock, or to the question
         # instant when the answer has none
-        own_ts = a_ts if a_ts is not None else q_row.creation_ts
-        if signup_ts is None or signup_ts > own_ts:
-            signup_ts = own_ts
-            missing.add("SignUpDateTimeLag")
-        if q_ts is None or a_ts is None or a_ts < q_ts:
-            # no usable pair of clocks; park the answer at the question
-            # instant, keeping its signup lag, and let the median fill Timelag
-            signup_ts += q_row.creation_ts - own_ts
-            a_ts = q_row.creation_ts
-            missing.add("Timelag")
-        score = _candidate_int(answer.get("score"), f"answers[{i}].score")
-        comment_count = _candidate_int(
-            answer.get("comment_count"), f"answers[{i}].comment_count"
-        )
-        reputation = _candidate_int(answer.get("reputation"), f"answers[{i}].reputation")
-        for value, name in (
-            (score, "Score"),
-            (comment_count, "CommentCount"),
-            (reputation, "Reputation"),
-            (q_row.view_count, "ViewCount"),
-        ):
-            if value is None:
-                missing.add(name)
-        entries.append(
-            AnswerEntry(
-                post=PostRow(
-                    id=i + 1,
-                    post_type="answer",
-                    creation_ts=a_ts,
-                    score=score or 0,
-                    body=answer["body"],
-                    parent_id=0,
-                    comment_count=comment_count or 0,
-                ),
-                user=UserRow(id=i + 1, reputation=reputation or 0, creation_ts=signup_ts),
-                accepted=False,
-            )
-        )
-        imputed.append(sorted(missing))
-    return QARecord(question=q_row, answers=entries), imputed
+        own_ts = a_ts if a_ts is not None else q_ts if q_ts is not None else 0
+        given = {
+            "Timelag": (a_ts - q_ts if q_ts is not None and a_ts is not None
+                        and a_ts >= q_ts else None),
+            "SignUpDateTimeLag": (own_ts - signup_ts if signup_ts is not None
+                                  and signup_ts <= own_ts else None),
+            "ViewCount": view_count,
+        }
+        for field, name in _REQUEST_COUNTS:
+            given[name] = _candidate_int(answer.get(field), f"answers[{i}].{field}")
+        values.append(given)
+        entries.append(AnswerEntry(
+            post=PostRow(id=i + 1, post_type="answer", creation_ts=0, body=answer["body"],
+                         parent_id=0),
+            user=UserRow(id=i + 1, reputation=0, creation_ts=0),
+            accepted=False,
+        ))
+    return QARecord(question=q_row, answers=entries), values
 
 
 def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
@@ -511,20 +489,25 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
         raise DataError(f"cannot read rank input: {exc}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError(f"rank input {input_path} is not valid JSON: {exc}") from exc
-    record, imputed = _candidate_record(payload)
+    record, values = _candidate_record(payload)
 
     tfidf = load_tfidf(artifact(cfg, "tfidf.json"))
     matrix = extract_matrix(analyze_records([record]), tfidf)
-    n = len(record.answers)
-    if matrix.x.shape[0] != n:
-        raise DataError("candidate rows were dropped during extraction")
 
-    medians = read_artifact(artifact(cfg, "models/{}/medians.json"), "medians", "train")
-    median_of = dict(zip(medians["names"], medians["values"]))
-    col_of = {name: j for j, name in enumerate(matrix.names)}
-    for i, names in enumerate(imputed):
-        for name in names:
-            matrix.x[i, col_of[name]] = median_of[name]
+    path = artifact(cfg, "models/{}/medians.json")
+    medians = read_artifact(path, "medians", "train")
+    column_medians = medians.get("values")
+    if not (medians.get("names") == list(FEATURE_NAMES) and isinstance(column_medians, list)
+            and len(column_medians) == len(FEATURE_NAMES)
+            and all(isinstance(v, float) or is_int(v) for v in column_medians)):
+        raise foreign(path, "medians", "train")
+    col_of = {name: j for j, name in enumerate(FEATURE_NAMES)}
+    imputed = []
+    for row, given in zip(matrix.x, values):
+        for name, value in given.items():
+            j = col_of[name]
+            row[j] = column_medians[j] if value is None else float(value)
+        imputed.append(sorted(name for name, value in given.items() if value is None))
 
     _, _, x = _read_selection(cfg, matrix)
     if model_kind == "rf":
@@ -534,7 +517,7 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
         mlp = load_mlp(artifact(cfg, "models/{}/model.mlp.json"))
         scores = mlp_predict_proba(mlp, x)
 
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
+    order = sorted(range(len(values)), key=lambda i: (-scores[i], i))
     return {
         "schema_version": 1,
         "model": model_kind,

@@ -274,6 +274,20 @@ def _edit_record(edit):
     return apply
 
 
+def _edit_doc(edit):
+    """An edit of a JSON file that applies `edit` to its document."""
+    def apply(text):
+        document = json.loads(text)
+        edit(document)
+        return json.dumps(document)
+    return apply
+
+
+def _first_tree(edit):
+    """An edit of model.rf.json that applies `edit` to its first tree."""
+    return _edit_doc(lambda doc: edit(doc["trees"][0]))
+
+
 # a file that carries its own version or kind, edited to another one; the
 # command that reads it; the stage that writes it
 _FOREIGN = {
@@ -283,6 +297,27 @@ _FOREIGN = {
     # a network saved without its input scaling, as earlier versions wrote it
     "mlp-unscaled": ("models/smote/model.mlp.json", _without("mean", "sd"), "evaluate", "train"),
     "medians": ("models/smote/medians.json", _edit_json(schema_version=2), "rank", "train"),
+    # a network whose input scaling is one feature short; whose first layer
+    # lost a unit's row of weights
+    "mlp-mean": ("models/smote/model.mlp.json", _edit_doc(lambda doc: doc["mean"].pop()),
+                 "evaluate", "train"),
+    "mlp-weights": ("models/smote/model.mlp.json", _edit_doc(lambda doc: doc["weights"][0].pop()),
+                    "evaluate", "train"),
+    # a tree whose root splits on a feature past the last; whose thresholds
+    # were cut to one
+    "rf-feature": ("models/smote/model.rf.json",
+                   _first_tree(lambda tree: tree.update(feature=[99] + tree["feature"][1:])),
+                   "evaluate", "train"),
+    "rf-short": ("models/smote/model.rf.json",
+                 _first_tree(lambda tree: tree.update(threshold=tree["threshold"][:1])),
+                 "evaluate", "train"),
+    # medians without their feature names; with three values only
+    "medians-names": ("models/smote/medians.json", _without("names"), "rank", "train"),
+    "medians-values": ("models/smote/medians.json",
+                       _edit_doc(lambda doc: doc.update(values=doc["values"][:3])),
+                       "rank", "train"),
+    # a tf-idf model without its terms
+    "tfidf-terms": ("tfidf.json", _without("terms"), "rank", "features"),
     # the first record's version; the first header name
     "dataset": ("dataset.jsonl", lambda text: text.replace('"v": 1', '"v": 2', 1),
                 "features", "ingest"),

@@ -327,6 +327,20 @@ def test_model_schema_checks(tmp_path):
             load_forest(path)
 
 
+def test_load_rejects_a_tree_with_a_cycle(tmp_path):
+    # a root whose left child is itself would send every walk through it
+    # round forever
+    x, y = make_planted(60, seed=4)
+    path = tmp_path / "model.rf.json"
+    save_forest(fit_forest(x, y, RfParams(n_estimators=2, max_depth=3)), path)
+    payload = json.loads(path.read_text("utf-8"))
+    assert payload["trees"][0]["feature"][0] >= 0
+    payload["trees"][0]["left"][0] = 0
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StageError, match="not a random-forest artifact; run train first"):
+        load_forest(path)
+
+
 def test_predict_rejects_wrong_width():
     x, y = make_planted(60, seed=6)
     model = fit_forest(x, y, RfParams(n_estimators=2, max_depth=3))

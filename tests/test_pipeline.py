@@ -784,11 +784,30 @@ def test_rank_missing_timestamps_fall_back_to_medians(run_dir, tmp_path):
     assert lookup["Timelag"] > 0
 
 
-def test_rank_signup_lag_kept_without_question_clock(run_dir, tmp_path, monkeypatch):
+_Q, _A, _S = "2015-03-10T09:15:00.000", "2015-03-10T09:28:00.000", "2010-01-05T00:00:00.000"
+
+
+# the question's, the answer's and the signup clock (absent when None), and
+# each lag as the pair of clocks it runs between, or None for the median
+@pytest.mark.parametrize("q, a, s, timelag, signup_lag", [
+    (None, _A, _S, None, ("a", "s")),
+    (_Q, "2015-03-10T09:00:00.000", _S, None, ("a", "s")),
+    (_Q, _A, "2015-03-11T00:00:00.000", ("a", "q"), None),
+    # the signup lag runs to the question's clock
+    (_Q, None, _S, None, ("q", "s")),
+    (parse_timestamp(_Q), parse_timestamp(_A), parse_timestamp(_S), ("a", "q"), ("a", "s")),
+], ids=["no-question-clock", "answer-before-question", "signup-after-answer",
+        "no-answer-clock", "epoch-ms"])
+def test_rank_signup_lag_kept_without_question_clock(run_dir, tmp_path, monkeypatch,
+                                                     q, a, s, timelag, signup_lag):
     payload = rank_payload()
-    del payload["question"]["creation_ts"]
     strong = payload["answers"][1]
     payload["answers"] = [strong]
+    for fields, key, clock in ((payload["question"], "creation_ts", q),
+                               (strong, "creation_ts", a), (strong, "user_creation_ts", s)):
+        fields.pop(key)
+        if clock is not None:
+            fields[key] = clock
     extracted = []
     extract = pipeline.extract_matrix
 
@@ -798,13 +817,21 @@ def test_rank_signup_lag_kept_without_question_clock(run_dir, tmp_path, monkeypa
 
     monkeypatch.setattr(pipeline, "extract_matrix", keep_matrix)
     result = cmd_rank(make_config(run_dir), write_payload(tmp_path, payload))
-    assert result["candidates"][0]["imputed"] == ["Timelag"]
-    # the matrix after imputation: the lag is the answer's own, not the median
+    # the matrix after imputation: each lag the request gives is its own,
+    # not the median
     row = dict(zip(extracted[0].names, extracted[0].x[0]))
-    want = parse_timestamp(strong["creation_ts"]) - parse_timestamp(strong["user_creation_ts"])
-    assert row["SignUpDateTimeLag"] == want
     medians = json.loads((run_dir / "models/smote/medians.json").read_text("utf-8"))
-    assert dict(zip(medians["names"], medians["values"]))["SignUpDateTimeLag"] != want
+    median_of = dict(zip(medians["names"], medians["values"]))
+    ms = {k: v if isinstance(v, int) else parse_timestamp(v) for k, v in zip("qas", (q, a, s))
+          if v is not None}
+    lags = {"Timelag": timelag, "SignUpDateTimeLag": signup_lag}
+    for name, clocks in lags.items():
+        if clocks is None:
+            assert row[name] == median_of[name], name
+        else:
+            assert row[name] == ms[clocks[0]] - ms[clocks[1]] != median_of[name], name
+    assert result["candidates"][0]["imputed"] == sorted(
+        name for name, clocks in lags.items() if clocks is None)
 
 
 def test_rank_rejects_malformed_input(run_dir, tmp_path):
