@@ -3,10 +3,10 @@
 `write_json` stamps a document with `SCHEMA_VERSION`, and its `kind`
 when it has one, and writes it with sorted keys.  The version that gates
 a whole work directory is `manifest.json`'s, which every command checks
-first.  `read_artifact` also checks the version and kind of the files
-that carry a kind, and `foreign` is its exit-4 error, naming the stage
-to rerun; `read_json` reads any other file as it stands.  `is_int` is
-the one test of a decoded JSON integer.
+first, through `read_json`.  Every other JSON file that a command reads
+back goes through `read_artifact`: version, kind and each field of its
+table present and passing its test (`has_fields`), or `foreign`, the
+exit-4 error naming the stage to rerun.  `is_int` tests a JSON integer.
 """
 
 from __future__ import annotations
@@ -21,6 +21,20 @@ SCHEMA_VERSION = 1
 def is_int(value) -> bool:
     # json loads true and false as bools, which isinstance counts as ints
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, float) or is_int(value)
+
+
+def list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+def has_fields(document, fields: dict) -> bool:
+    """Whether `document` is an object whose `fields` are present and pass their tests."""
+    return isinstance(document, dict) and all(
+        name in document and test(document[name]) for name, test in fields.items())
 
 
 def foreign(path, kind: str, stage: str) -> StageError:
@@ -53,11 +67,14 @@ def read_json(path):
         return json.load(fh)
 
 
-def read_artifact(path, kind: str, stage: str) -> dict:
-    """The document at `path` if this version wrote it as a `kind` file;
-    otherwise `foreign`, naming `stage`, the stage that writes it."""
-    document = read_json(path)
-    if (not isinstance(document, dict) or document.get("schema_version") != SCHEMA_VERSION
-            or document.get("kind") != kind):
+def read_artifact(path, kind: str, stage: str, fields: dict) -> dict:
+    """The document at `path` if this version wrote it as a `kind` file with
+    `fields`; otherwise `foreign`, naming `stage`, the stage that writes it."""
+    try:
+        document = read_json(path)
+    except ValueError:  # not JSON, or not UTF-8
+        raise foreign(path, kind, stage) from None
+    stamp = {"schema_version": lambda v: v == SCHEMA_VERSION, "kind": lambda v: v == kind}
+    if not has_fields(document, {**stamp, **fields}):
         raise foreign(path, kind, stage)
     return document

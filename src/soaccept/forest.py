@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import foreign, read_artifact, write_json
+from .codec import foreign, is_int, is_number, list_of, read_artifact, write_json
 from .errors import DataError
 from .seeding import derive_seed
 
@@ -70,6 +70,11 @@ class DecisionTree:
         return int(self.feature.size)
 
 
+# the arrays of each tree that model.rf.json holds, in field order, with their dtypes
+_TREE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+                "right": np.int32, "proba1": np.float64}
+
+
 @dataclass
 class ForestModel:
     params: RfParams
@@ -77,7 +82,6 @@ class ForestModel:
     oob_error: float | None  # None when no row is out of any bag
     importances: np.ndarray  # (d,), nonnegative, sums to 1
     n_features: int
-    feature_names: tuple[str, ...] | None = None
 
 
 def n_sub_features(d: int, max_features) -> int:
@@ -314,72 +318,65 @@ def save_forest(model: ForestModel, path) -> None:
     payload = {
         "params": asdict(model.params),
         "n_features": model.n_features,
-        "feature_names": list(model.feature_names) if model.feature_names else None,
         "oob_error": model.oob_error,
         "importances": model.importances.tolist(),
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "proba1": t.proba1.tolist(),
-            }
-            for t in model.trees
-        ],
+        "trees": [{k: getattr(t, k).tolist() for k in _TREE_ARRAYS} for t in model.trees],
     }
     write_json(path, payload, kind="random-forest", compact=True)
 
 
 def _trees_well_formed(trees: list[DecisionTree], d: int) -> bool:
     """Whether each tree's five arrays share one nonzero length, every
-    feature lies in [-1, d), and each internal node's children lie after
-    it and inside its tree.  `fit_tree` stores every parent before its
+    feature lies in [-1, d), every threshold is finite, every `proba1`
+    lies in [0, 1], and each internal node's children lie after it and
+    inside its tree.  `fit_tree` stores every parent before its
     children, so a tree that passes has no cycle for a walk to loop on.
     One pass covers all trees' arrays, joined end to end."""
     shapes = [(t.feature.size,) for t in trees]
     if not trees or (0,) in shapes or any(
-        [getattr(t, k).shape for t in trees] != shapes
-        for k in ("feature", "threshold", "left", "right", "proba1")
+        [getattr(t, k).shape for t in trees] != shapes for k in _TREE_ARRAYS
     ):
         return False
-    feature, left, right = (np.concatenate([getattr(t, k) for t in trees])
-                            for k in ("feature", "left", "right"))
+    feature, threshold, left, right, proba1 = (
+        np.concatenate([getattr(t, k) for t in trees]) for k in _TREE_ARRAYS)
     sizes = np.array(shapes).ravel()
     n_nodes = np.repeat(sizes, sizes)  # of each node's tree
     node = np.arange(n_nodes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     inner = feature >= 0
     node, n_nodes = node[inner], n_nodes[inner]
-    return bool((feature >= -1).all() and (feature < d).all() and all(
-        ((child[inner] > node) & (child[inner] < n_nodes)).all() for child in (left, right)
-    ))
+    return bool(
+        (feature >= -1).all() and (feature < d).all() and np.isfinite(threshold).all()
+        and ((proba1 >= 0) & (proba1 <= 1)).all()
+        and all(((child[inner] > node) & (child[inner] < n_nodes)).all() for child in (left, right))
+    )
 
 
 def load_forest(path) -> ForestModel:
-    payload = read_artifact(path, "random-forest", "train")
-    d = int(payload["n_features"])
+    payload = read_artifact(path, "random-forest", "train", {
+        "params": lambda params: isinstance(params, dict),
+        "n_features": lambda d: is_int(d) and d > 0,
+        "oob_error": lambda error: error is None or is_number(error),
+        "importances": list_of(is_number),
+        "trees": list_of(lambda tree: isinstance(tree, dict)),
+    })
+    d = payload["n_features"]
     try:
+        params = RfParams(**payload["params"])
+        importances = np.asarray(payload["importances"], dtype=np.float64)
         trees = [
-            DecisionTree(
-                feature=np.asarray(t["feature"], dtype=np.int32),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int32),
-                right=np.asarray(t["right"], dtype=np.int32),
-                proba1=np.asarray(t["proba1"], dtype=np.float64),
-                feature_decrease=np.zeros(d),
-            )
+            DecisionTree(**{k: np.asarray(t[k], dtype=dtype) for k, dtype in _TREE_ARRAYS.items()},
+                         feature_decrease=np.zeros(d))
             for t in payload["trees"]
         ]
-    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+    # unknown or mistyped params; a tree array missing, ragged or not numbers
+    except (DataError, KeyError, TypeError, ValueError, OverflowError):
         raise foreign(path, "random-forest", "train") from None
-    if not _trees_well_formed(trees, d):
+    if importances.shape != (d,) or not _trees_well_formed(trees, d):
         raise foreign(path, "random-forest", "train")
-    names = payload.get("feature_names")
     return ForestModel(
-        params=RfParams(**payload["params"]),
+        params=params,
         trees=trees,
         oob_error=payload["oob_error"],
-        importances=np.asarray(payload["importances"], dtype=np.float64),
+        importances=importances,
         n_features=d,
-        feature_names=tuple(names) if names else None,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
-from .codec import SCHEMA_VERSION, foreign, is_int
+from .codec import SCHEMA_VERSION, foreign, has_fields, is_int, list_of
 from .errors import DataError
 
 _TAG_RE = re.compile(r"<([^<>]+)>")
@@ -349,7 +349,7 @@ _QUESTION_FIELDS = {
     "owner_user_id": _int64_or_none,
     "accepted_answer_id": _int64_or_none,
     "view_count": _int64_or_none,
-    "tags": lambda value: isinstance(value, list) and all(isinstance(t, str) for t in value),
+    "tags": list_of(lambda tag: isinstance(tag, str)),
     "answer_count": _int64_or_none,
 }
 
@@ -362,13 +362,11 @@ def _post_to_json(p: PostRow, fields: dict) -> dict:
 
 
 def _post_from_json(obj: dict, post_type: str, fields: dict) -> PostRow | None:
-    """The post `_post_to_json` wrote as `obj`, or None if a field fails
-    its test; a missing key raises KeyError."""
-    values = {name: obj[name] for name in fields}
-    if not all(test(values[name]) for name, test in fields.items()):
+    """The post `_post_to_json` wrote as `obj`, or None unless it has `fields`."""
+    if not has_fields(obj, fields):
         return None
     return PostRow(post_type=post_type, creation_ts=parse_timestamp(obj["creation_ts"]),
-                   **values)
+                   **{name: obj[name] for name in fields})
 
 
 def write_dataset(records: list[QARecord], path) -> None:
@@ -392,12 +390,12 @@ def write_dataset(records: list[QARecord], path) -> None:
 
 def read_dataset(path) -> list[QARecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 question = _post_from_json(obj["question"], "question", _QUESTION_FIELDS)
                 answers = [
                     AnswerEntry(
@@ -413,7 +411,7 @@ def read_dataset(path) -> list[QARecord]:
                               and all(a.post is not None and _int64(a.user.reputation)
                                       and isinstance(a.accepted, bool) for a in answers))
             except (AttributeError, KeyError, TypeError, ValueError):
-                well_typed = False  # not JSON, not an object, or a key missing
+                well_typed = False  # not UTF-8, not JSON, not an object, or a key missing
             if not well_typed:
                 raise foreign(f"{path} line {line_no}", "dataset", "ingest")
             records.append(QARecord(question=question, answers=answers))

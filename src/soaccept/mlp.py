@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import foreign, read_artifact, write_json
+from .codec import foreign, is_int, is_number, list_of, read_artifact, write_json
 from .errors import DataError
 from .resample import Scaler, standardize
 from .seeding import derive_seed
@@ -259,16 +259,21 @@ def load_mlp(path) -> MlpModel:
     """The network saved at `path`; exit 4 unless its scaling and every
     layer's weights and biases have the shapes that its `n_features` and
     `config.hidden` give."""
-    payload = read_artifact(path, "mlp", "train")
-    if not {"mean", "sd"} <= payload.keys():  # no input scaling to score with
-        raise foreign(path, "mlp", "train")
-    config = MlpConfig(**payload["config"])
-    n_features = int(payload["n_features"])
+    payload = read_artifact(path, "mlp", "train", {
+        "config": lambda config: isinstance(config, dict),
+        "n_features": lambda d: is_int(d) and d > 0,
+        "mean": list_of(is_number),  # the input scaling, without which it cannot score
+        "sd": list_of(is_number),
+        "loss_history": list_of(is_number),
+    })
+    n_features = payload["n_features"]
     try:
+        config = MlpConfig(**payload["config"])
         mean, sd = (np.asarray(payload[k], dtype=np.float64) for k in ("mean", "sd"))
         weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    except (TypeError, ValueError):  # ragged, or not numbers
+    # unknown or mistyped config; layers missing, ragged or not numbers
+    except (DataError, KeyError, TypeError, ValueError, OverflowError):
         raise foreign(path, "mlp", "train") from None
     sizes = (n_features, *config.hidden, 1)
     layers = list(zip(sizes[1:], sizes))  # (n_out, n_in) of each layer

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import foreign, is_int, read_artifact, read_json, write_json
+from .codec import is_int, is_number, list_of, read_artifact, write_json
 from .errors import ConfigError, DataError
 from .features import (
     FEATURE_NAMES,
@@ -162,21 +162,18 @@ def cmd_select(cfg: RunConfig, matrix=None) -> dict:
     except DataError as exc:
         raise DataError(f"feature selection failed: {exc}") from exc
     path = artifact(cfg, "selection.json")
-    report = write_json(path, report)
+    report = write_json(path, report, "selection")
     record_stage(cfg, "select", inputs, [path])
     return report
 
 
 def _read_selection(cfg: RunConfig, matrix):
     """selection.json, the features it retains, and `matrix`'s columns of them."""
-    path = artifact(cfg, "selection.json")
-    selection = read_json(path)
-    fields = selection if isinstance(selection, dict) else {}
-    retained, gains = fields.get("retained"), fields.get("info_gain_bits")
-    if not (isinstance(retained, list) and all(name in FEATURE_NAMES for name in retained)
-            and isinstance(gains, dict)
-            and all(isinstance(v, float) or is_int(v) for v in gains.values())):
-        raise foreign(path, "selection", "select")
+    selection = read_artifact(artifact(cfg, "selection.json"), "selection", "select", {
+        "retained": list_of(FEATURE_NAMES.__contains__),
+        "info_gain_bits": lambda ig: isinstance(ig, dict) and all(map(is_number, ig.values())),
+    })
+    retained = selection["retained"]
     if not retained:
         raise DataError("feature selection retained no features; lower the thresholds")
     cols = [matrix.names.index(name) for name in retained]
@@ -241,7 +238,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     inputs = ensure_fresh(cfg, "train")
     if matrix is None:
         matrix = read_features_csv(artifact(cfg, "features.csv"))
-    _, retained, x = _read_selection(cfg, matrix)
+    _, _, x = _read_selection(cfg, matrix)
     y = matrix.y.astype(np.int8)
 
     spec = cfg.split_spec()
@@ -262,7 +259,6 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
 
     x_res, y_res = apply_plan(x_train, y_train, plan)
     forest, mlp = _fit_models(x_res, y_res, params, cfg.mlp_config(), cfg.threads)
-    forest.feature_names = tuple(retained)
 
     # medians of the raw training split, for imputing unobserved features
     # at ranking time; computed over all columns, not just the retained ones
@@ -278,7 +274,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
             "names": list(FEATURE_NAMES),
             "values": medians.tolist(),
         }),
-        "models/{}/split.json": (None, {
+        "models/{}/split.json": ("split", {
             "train_fraction": spec.train_fraction,
             "train": train_idx.tolist(),
             "test": test_idx.tolist(),
@@ -319,13 +315,10 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> dict:
     selection, retained, x = _read_selection(cfg, matrix)
     y = matrix.y.astype(np.int8)
 
-    path = artifact(cfg, "models/{}/split.json")
-    split = read_json(path)
-    sides = [split.get(k) for k in ("train", "test")] if isinstance(split, dict) else [None]
-    if not all(isinstance(side, list) and all(is_int(i) and 0 <= i < len(y) for i in side)
-               for side in sides):
-        raise foreign(path, "split", "train")
-    train_rows, test_idx = len(sides[0]), np.asarray(sides[1], dtype=np.int64)
+    rows = list_of(lambda i: is_int(i) and 0 <= i < len(y))  # indices of features.csv rows
+    split = read_artifact(artifact(cfg, "models/{}/split.json"), "split", "train",
+                          {"train": rows, "test": rows})
+    train_rows, test_idx = len(split["train"]), np.asarray(split["test"], dtype=np.int64)
     x_test, y_test = x[test_idx], y[test_idx]
 
     forest = load_forest(artifact(cfg, "models/{}/model.rf.json"))
@@ -494,13 +487,10 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
     tfidf = load_tfidf(artifact(cfg, "tfidf.json"))
     matrix = extract_matrix(analyze_records([record]), tfidf)
 
-    path = artifact(cfg, "models/{}/medians.json")
-    medians = read_artifact(path, "medians", "train")
-    column_medians = medians.get("values")
-    if not (medians.get("names") == list(FEATURE_NAMES) and isinstance(column_medians, list)
-            and len(column_medians) == len(FEATURE_NAMES)
-            and all(isinstance(v, float) or is_int(v) for v in column_medians)):
-        raise foreign(path, "medians", "train")
+    column_medians = read_artifact(artifact(cfg, "models/{}/medians.json"), "medians", "train", {
+        "names": lambda names: names == list(FEATURE_NAMES),
+        "values": lambda values: list_of(is_number)(values) and len(values) == len(FEATURE_NAMES),
+    })["values"]
     col_of = {name: j for j, name in enumerate(FEATURE_NAMES)}
     imputed = []
     for row, given in zip(matrix.x, values):

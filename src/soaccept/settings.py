@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .codec import is_int
+from .codec import is_int, is_number
 from .errors import ConfigError, DataError
 from .forest import RfParams
 from .ingest import IngestFilter
@@ -60,7 +60,7 @@ def _is_number(value) -> bool:
     # finite only: json also reads NaN, Infinity and integers past a
     # float's range, which no setting means
     try:
-        return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+        return is_number(value) and math.isfinite(value)
     except OverflowError:
         return False
 

@@ -362,6 +362,51 @@ _FOREIGN = {
     # a selection without the features it retains; without their information gains
     "selection": ("selection.json", _without("retained"), "evaluate", "select"),
     "selection-gain": ("selection.json", _without("info_gain_bits"), "evaluate", "select"),
+    # a selection and a split of another version
+    "selection-version": ("selection.json", _edit_json(schema_version=2), "evaluate", "select"),
+    "split-version": ("models/smote/split.json", _edit_json(schema_version=2), "evaluate", "train"),
+    # a forest whose params hold an unknown key; whose feature count is a
+    # string; whose importances are a string, or one short; without trees;
+    # whose every threshold is null; whose root's class-1 fraction exceeds 1
+    "rf-params": ("models/smote/model.rf.json", _edit_doc(lambda doc: doc["params"].update(x=1)),
+                  "evaluate", "train"),
+    "rf-n-features": ("models/smote/model.rf.json", _edit_json(n_features="x"),
+                      "evaluate", "train"),
+    "rf-importances": ("models/smote/model.rf.json", _edit_json(importances="x"),
+                       "evaluate", "train"),
+    "rf-importances-short": ("models/smote/model.rf.json",
+                             _edit_doc(lambda doc: doc["importances"].pop()), "evaluate", "train"),
+    "rf-trees": ("models/smote/model.rf.json", _without("trees"), "evaluate", "train"),
+    "rf-threshold": ("models/smote/model.rf.json",
+                     _edit_doc(lambda doc: [tree.update(threshold=[None] * len(tree["threshold"]))
+                                            for tree in doc["trees"]]),
+                     "evaluate", "train"),
+    "rf-proba": ("models/smote/model.rf.json",
+                 _first_tree(lambda tree: tree.update(proba1=[2.0] + tree["proba1"][1:])),
+                 "evaluate", "train"),
+    # a network whose loss history is a number; whose config holds an
+    # unknown key; whose config lists four hidden widths
+    "mlp-loss": ("models/smote/model.mlp.json", _edit_json(loss_history=5), "evaluate", "train"),
+    "mlp-config": ("models/smote/model.mlp.json", _edit_doc(lambda doc: doc["config"].update(x=1)),
+                   "evaluate", "train"),
+    "mlp-hidden": ("models/smote/model.mlp.json",
+                   _edit_doc(lambda doc: doc["config"].update(hidden=doc["config"]["hidden"][:4])),
+                   "evaluate", "train"),
+    # a file that is not JSON; one that is not UTF-8 (an edit that returns
+    # bytes writes them as they are)
+    "rf-json": ("models/smote/model.rf.json", lambda text: "{" + text, "evaluate", "train"),
+    "selection-json": ("selection.json", lambda text: "{" + text, "evaluate", "select"),
+    "medians-json": ("models/smote/medians.json", lambda text: "{" + text, "rank", "train"),
+    "tfidf-json": ("tfidf.json", lambda text: "{" + text, "rank", "features"),
+    "split-utf8": ("models/smote/split.json", lambda text: b"\xff" + text.encode("utf-8"),
+                   "evaluate", "train"),
+    # a byte that is not UTF-8 opening the first row; inside the first body
+    "features-utf8": ("features.csv",
+                      lambda text: text.encode("utf-8").replace(b"\n", b"\n\xff", 1),
+                      "select", "features"),
+    "dataset-utf8": ("dataset.jsonl",
+                     lambda text: text.encode("utf-8").replace(b'"body": "', b'"body": "\xff', 1),
+                     "features", "ingest"),
 }
 
 
@@ -371,7 +416,8 @@ def test_file_of_another_version_or_kind_exits_4(cli_dir, tmp_path, capsys, rel,
     wd = tmp_path / "wd"
     shutil.copytree(cli_dir, wd)
     path = wd / rel
-    path.write_text(edit(path.read_text("utf-8")), encoding="utf-8")
+    edited = edit(path.read_text("utf-8"))
+    path.write_bytes(edited if isinstance(edited, bytes) else edited.encode("utf-8"))
     _redigest(wd, rel)
     extra = ["--input", write_request(tmp_path, rank_request())] if command == "rank" else []
     assert run_cli(command, *common(wd), *extra) == 4

@@ -231,8 +231,9 @@ def test_every_json_file_carries_the_schema_version(run_dir):
         assert doc.get("schema_version") == 1, path
         if "kind" in doc:
             kinds[path.name] = doc["kind"]
-    assert kinds == {"tfidf.json": "tfidf", "model.rf.json": "random-forest",
-                     "model.mlp.json": "mlp", "medians.json": "medians"}
+    assert kinds == {"tfidf.json": "tfidf", "selection.json": "selection",
+                     "model.rf.json": "random-forest", "model.mlp.json": "mlp",
+                     "medians.json": "medians", "split.json": "split"}
     with open(run_dir / "dataset.jsonl", encoding="utf-8") as fh:
         assert {json.loads(line)["v"] for line in fh} == {1}
 
