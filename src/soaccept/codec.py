@@ -6,25 +6,36 @@ a whole work directory is `manifest.json`'s, which every command checks
 first, through `read_json`.  Every other JSON file that a command reads
 back goes through `read_artifact`: version, kind and each field of its
 table present and passing its test (`has_fields`), or `foreign`, the
-exit-4 error naming the stage to rerun.  `is_int` tests a JSON integer.
+exit-4 error naming the stage to rerun.  `is_int` and `is_number` are
+the one rule for every integer and number that the program reads: a
+setting, a field of a file read back, or a field of a `rank` request.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import StageError
 
 SCHEMA_VERSION = 1
 
 
+def fits_int64(value: int) -> bool:
+    """Whether `value` fits a signed 64-bit integer: a wider one would
+    overflow the float features and the int64 arrays built from it."""
+    return -(2**63) <= value < 2**63
+
+
 def is_int(value) -> bool:
-    # json loads true and false as bools, which isinstance counts as ints
-    return isinstance(value, int) and not isinstance(value, bool)
+    # exactly int: json loads true and false as bools, a subclass of int
+    return type(value) is int and fits_int64(value)
 
 
 def is_number(value) -> bool:
-    return isinstance(value, float) or is_int(value)
+    # json also reads NaN, Infinity and integers past a float's range,
+    # which no field or setting means
+    return (isinstance(value, float) and math.isfinite(value)) or is_int(value)
 
 
 def list_of(test):
@@ -55,9 +66,9 @@ def write_json(path, payload: dict, kind: str | None = None, compact: bool = Fal
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if compact:
             fh.write(json.dumps(document, sort_keys=True, ensure_ascii=False,
-                                separators=(",", ":")))
+                                allow_nan=False, separators=(",", ":")))
         else:
-            json.dump(document, fh, indent=2, sort_keys=True, ensure_ascii=False)
+            json.dump(document, fh, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
         fh.write("\n")
     return document
 

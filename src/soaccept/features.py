@@ -371,9 +371,10 @@ def write_features_csv(matrix: FeatureMatrix, path) -> None:
 
 def read_features_csv(path) -> FeatureMatrix:
     # a byte that is not UTF-8 is read as a lone surrogate, which fails its
-    # cell's number or label check below, so the row names it
+    # cell's number or label check below, so the row names it; no quoting,
+    # which the writer never needs, so row i is line i + 2
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
         header = next(reader, [])
         if tuple(header[:-1]) != FEATURE_NAMES or header[-1] != "label":
             raise foreign(path, "features", "features")
@@ -388,9 +389,13 @@ def read_features_csv(path) -> FeatureMatrix:
             rows.append(row)
             labels.append(LABELS.index(rec[-1]))
     n = len(rows)
+    x = np.array(rows, dtype=np.float64).reshape(n, len(FEATURE_NAMES))
+    finite = np.isfinite(x).all(axis=1)  # float() also reads nan, inf and 1e999
+    if not finite.all():
+        raise foreign(f"{path} line {finite.argmin() + 2}", "features", "features")
     return FeatureMatrix(
         names=FEATURE_NAMES,
-        x=np.array(rows, dtype=np.float64).reshape(n, len(FEATURE_NAMES)),
+        x=x,
         y=np.array(labels, dtype=np.int8),
         question_ids=np.zeros(n, dtype=np.int64),
         answer_ids=np.zeros(n, dtype=np.int64),

@@ -351,10 +351,12 @@ def _trees_well_formed(trees: list[DecisionTree], d: int) -> bool:
     )
 
 
-def load_forest(path) -> ForestModel:
+def load_forest(path, n_features: int | None = None) -> ForestModel:
+    """The forest saved at `path`; exit 4 unless it is well formed and
+    scores `n_features` columns, when given."""
     payload = read_artifact(path, "random-forest", "train", {
         "params": lambda params: isinstance(params, dict),
-        "n_features": lambda d: is_int(d) and d > 0,
+        "n_features": lambda d: is_int(d) and d > 0 and n_features in (None, d),
         "oob_error": lambda error: error is None or is_number(error),
         "importances": list_of(is_number),
         "trees": list_of(lambda tree: isinstance(tree, dict)),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
-from .codec import SCHEMA_VERSION, foreign, has_fields, is_int, list_of
+from .codec import SCHEMA_VERSION, fits_int64, foreign, has_fields, is_int, list_of
 from .errors import DataError
 
 _TAG_RE = re.compile(r"<([^<>]+)>")
@@ -42,13 +42,6 @@ class DecodeError(DataError):
         msg = f"bad attribute {attribute!r}" + (f": {detail}" if detail else "")
         super().__init__(msg)
         self.attribute = attribute
-
-
-def fits_int64(value: int) -> bool:
-    """Whether `value` fits a signed 64-bit integer, as every integer a dump
-    row or a rank request carries must: a wider one would overflow the
-    float features and the int64 id arrays built from it."""
-    return -(2**63) <= value < 2**63
 
 
 _EPOCH = datetime(1970, 1, 1)
@@ -325,23 +318,19 @@ def build_dataset(
     return records, report
 
 
-def _int64(value) -> bool:
-    return is_int(value) and fits_int64(value)
-
-
 def _int64_or_none(value) -> bool:
-    return value is None or _int64(value)
+    return value is None or is_int(value)
 
 
 # a dataset.jsonl post: each PostRow field it holds, with the test that
 # its JSON value must pass; post_type and creation_ts are written beside them
 _ANSWER_FIELDS = {
-    "id": _int64,
-    "score": _int64,
+    "id": is_int,
+    "score": is_int,
     "body": lambda value: isinstance(value, str),
-    "owner_user_id": _int64,
-    "comment_count": _int64,
-    "parent_id": _int64,
+    "owner_user_id": is_int,
+    "comment_count": is_int,
+    "parent_id": is_int,
 }
 _QUESTION_FIELDS = {
     **_ANSWER_FIELDS,
@@ -408,7 +397,7 @@ def read_dataset(path) -> list[QARecord]:
                 ]
                 well_typed = (is_int(obj["v"]) and obj["v"] == SCHEMA_VERSION
                               and question is not None
-                              and all(a.post is not None and _int64(a.user.reputation)
+                              and all(a.post is not None and is_int(a.user.reputation)
                                       and isinstance(a.accepted, bool) for a in answers))
             except (AttributeError, KeyError, TypeError, ValueError):
                 well_typed = False  # not UTF-8, not JSON, not an object, or a key missing

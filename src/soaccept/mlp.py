@@ -255,13 +255,14 @@ def save_mlp(model: MlpModel, path) -> None:
     write_json(path, payload, kind="mlp", compact=True)
 
 
-def load_mlp(path) -> MlpModel:
-    """The network saved at `path`; exit 4 unless its scaling and every
-    layer's weights and biases have the shapes that its `n_features` and
-    `config.hidden` give."""
+def load_mlp(path, n_features: int | None = None) -> MlpModel:
+    """The network saved at `path`; exit 4 unless it scores `n_features`
+    columns, when given, and its scaling and every layer's weights and
+    biases are finite and have the shapes that its `n_features` and
+    `config.hidden` give, with no `sd` negative (a constant column saves 0)."""
     payload = read_artifact(path, "mlp", "train", {
         "config": lambda config: isinstance(config, dict),
-        "n_features": lambda d: is_int(d) and d > 0,
+        "n_features": lambda d: is_int(d) and d > 0 and n_features in (None, d),
         "mean": list_of(is_number),  # the input scaling, without which it cannot score
         "sd": list_of(is_number),
         "loss_history": list_of(is_number),
@@ -279,7 +280,8 @@ def load_mlp(path) -> MlpModel:
     layers = list(zip(sizes[1:], sizes))  # (n_out, n_in) of each layer
     if ([mean.shape, sd.shape] != [(n_features,)] * 2
             or [w.shape for w in weights] != layers
-            or [b.shape for b in biases] != [(n_out,) for n_out, _ in layers]):
+            or [b.shape for b in biases] != [(n_out,) for n_out, _ in layers]
+            or not all(np.isfinite(a).all() for a in (*weights, *biases)) or (sd < 0).any()):
         raise foreign(path, "mlp", "train")
     return MlpModel(
         weights=weights,

@@ -49,7 +49,6 @@ from .ingest import (
     build_dataset,
     decode_post,
     decode_user,
-    fits_int64,
     parse_timestamp,
     read_dataset,
     stream_rows,
@@ -315,14 +314,15 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> dict:
     selection, retained, x = _read_selection(cfg, matrix)
     y = matrix.y.astype(np.int8)
 
-    rows = list_of(lambda i: is_int(i) and 0 <= i < len(y))  # indices of features.csv rows
+    in_range = list_of(lambda i: is_int(i) and 0 <= i < len(y))  # indices of features.csv rows
+    rows = lambda side: side != [] and in_range(side)  # train never leaves a side empty
     split = read_artifact(artifact(cfg, "models/{}/split.json"), "split", "train",
                           {"train": rows, "test": rows})
     train_rows, test_idx = len(split["train"]), np.asarray(split["test"], dtype=np.int64)
     x_test, y_test = x[test_idx], y[test_idx]
 
-    forest = load_forest(artifact(cfg, "models/{}/model.rf.json"))
-    mlp = load_mlp(artifact(cfg, "models/{}/model.mlp.json"))
+    forest = load_forest(artifact(cfg, "models/{}/model.rf.json"), x.shape[1])
+    mlp = load_mlp(artifact(cfg, "models/{}/model.mlp.json"), x.shape[1])
 
     rf_scores = forest_predict_proba(forest, x_test)
     mlp_scores = mlp_predict_proba(mlp, x_test)
@@ -379,15 +379,13 @@ def cmd_run(cfg: RunConfig) -> dict:
 
 def _candidate_int(value, what: str) -> int | None:
     """An optional integer field: absent or null is None (imputed later);
-    any other JSON type, or an integer that `fits_int64` rejects, is an
-    error rather than a silent imputation."""
-    if value is None:
-        return None
-    if not is_int(value):
-        raise DataError(f"{what}: not an integer: {value!r}")
-    if not fits_int64(value):
+    any other JSON type, or an integer that `is_int` rejects, is an error
+    rather than a silent imputation."""
+    if value is None or is_int(value):
+        return value
+    if type(value) is int:  # wider than 64 bits; a bool is not an int here
         raise DataError(f"{what}: outside the signed 64-bit range")
-    return value
+    raise DataError(f"{what}: not an integer: {value!r}")
 
 
 def _candidate_ts(value, what: str) -> int | None:
@@ -396,7 +394,7 @@ def _candidate_ts(value, what: str) -> int | None:
             return parse_timestamp(value)
         except ValueError:
             raise DataError(f"{what}: not a timestamp: {value!r}") from None
-    if value is not None and not is_int(value):
+    if value is not None and type(value) is not int:
         raise DataError(f"{what} must be an ISO-8601 string or epoch milliseconds")
     return _candidate_int(value, what)
 
@@ -501,10 +499,10 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
 
     _, _, x = _read_selection(cfg, matrix)
     if model_kind == "rf":
-        forest = load_forest(artifact(cfg, "models/{}/model.rf.json"))
+        forest = load_forest(artifact(cfg, "models/{}/model.rf.json"), x.shape[1])
         scores = forest_predict_proba(forest, x)
     else:
-        mlp = load_mlp(artifact(cfg, "models/{}/model.mlp.json"))
+        mlp = load_mlp(artifact(cfg, "models/{}/model.mlp.json"), x.shape[1])
         scores = mlp_predict_proba(mlp, x)
 
     order = sorted(range(len(values)), key=lambda i: (-scores[i], i))

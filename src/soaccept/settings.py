@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass, fields
 
 from .codec import is_int, is_number
@@ -56,21 +55,12 @@ DEFAULT_CONFIG = {
 }
 
 
-def _is_number(value) -> bool:
-    # finite only: json also reads NaN, Infinity and integers past a
-    # float's range, which no setting means
-    try:
-        return is_number(value) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 # the type rule: what a setting accepts, by the type of its default
 _TYPE_RULE = {
     type(None): (lambda v: v is None or isinstance(v, str), "a path string or null"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (is_int, "an integer"),
-    float: (_is_number, "a number"),
+    float: (is_number, "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
 # the one union, a name or a count; RfParams checks which names and counts

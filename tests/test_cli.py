@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soaccept
 from soaccept import cli
@@ -115,6 +118,7 @@ def test_output_directory_blocked_by_a_file_exits_2(cli_dir, tmp_path, capsys,
         "selection.r_threshold=NaN",
         "mlp.learning_rate=Infinity",
         pytest.param("split.train_fraction=" + "9" * 400, id="split.train_fraction=<400 digits>"),
+        pytest.param("forest.n_estimators=" + "9" * 400, id="forest.n_estimators=<400 digits>"),
     ],
 )
 def test_mistyped_setting_exits_2(tmp_path, capsys, setting):
@@ -289,7 +293,7 @@ def _first_tree(edit):
 
 
 # a file that carries its own version or kind, edited to another one; the
-# command that reads it; the stage that writes it
+# command that reads it, with its options; the stage that writes it
 _FOREIGN = {
     "tfidf": ("tfidf.json", _edit_json(schema_version=2), "rank", "features"),
     "rf": ("models/smote/model.rf.json", _edit_json(schema_version=2), "evaluate", "train"),
@@ -356,9 +360,10 @@ _FOREIGN = {
     "dataset-missing": ("dataset.jsonl", _edit_record(lambda r: r["question"].pop("view_count")),
                         "features", "ingest"),
     # a split without its test side; one whose test side names a row past
-    # the last and a boolean
+    # the last and a boolean; one whose test side is empty
     "split": ("models/smote/split.json", _without("test"), "evaluate", "train"),
     "split-index": ("models/smote/split.json", _edit_json(test=[785, True]), "evaluate", "train"),
+    "split-empty": ("models/smote/split.json", _edit_json(test=[]), "evaluate", "train"),
     # a selection without the features it retains; without their information gains
     "selection": ("selection.json", _without("retained"), "evaluate", "select"),
     "selection-gain": ("selection.json", _without("info_gain_bits"), "evaluate", "select"),
@@ -407,23 +412,176 @@ _FOREIGN = {
     "dataset-utf8": ("dataset.jsonl",
                      lambda text: text.encode("utf-8").replace(b'"body": "', b'"body": "\xff', 1),
                      "features", "ingest"),
+    # numbers that json reads but no field means: a median, and a document
+    # count, past a float's range; an information gain, a forest's
+    # importance and a network's input mean that are NaN; a weight that is
+    # infinite
+    "medians-huge": ("models/smote/medians.json",
+                     _edit_doc(lambda doc: doc["values"].__setitem__(0, 10**400)), "rank", "train"),
+    "tfidf-n-docs-huge": ("tfidf.json", _edit_json(n_docs=10**400), "rank", "features"),
+    "selection-gain-nan": ("selection.json",
+                           _edit_doc(lambda doc: doc["info_gain_bits"].update(Score=float("nan"))),
+                           "evaluate", "select"),
+    "rf-importance-nan": ("models/smote/model.rf.json",
+                          _edit_doc(lambda doc: doc["importances"].__setitem__(0, float("nan"))),
+                          "evaluate", "train"),
+    "mlp-mean-nan": ("models/smote/model.mlp.json",
+                     _edit_doc(lambda doc: doc["mean"].__setitem__(0, float("nan"))),
+                     "rank --model mlp", "train"),
+    "mlp-weight-inf": ("models/smote/model.mlp.json",
+                       _edit_doc(lambda doc: doc["weights"][0][0].__setitem__(0, float("inf"))),
+                       "rank --model mlp", "train"),
+    # the first row's first cell a number that float() reads but is not finite
+    "features-nan": ("features.csv", lambda text: re.sub(r"\n[^,]*", "\nnan", text, count=1),
+                     "select", "features"),
+    "features-1e999": ("features.csv", lambda text: re.sub(r"\n[^,]*", "\n1e999", text, count=1),
+                       "select", "features"),
 }
+# the line that the error names, in a file read line by line, where an
+# edit meets that file's first row
+_LINE = {**dict.fromkeys(["dataset", "dataset-json", "dataset-list", "dataset-key", "dataset-v",
+                          "dataset-id", "dataset-body", "dataset-accepted", "dataset-wide",
+                          "dataset-missing", "dataset-utf8"], 1),
+         **dict.fromkeys(["features-cell", "features-row", "features-utf8", "features-nan",
+                          "features-1e999"], 2)}
 
 
-@pytest.mark.parametrize("rel, edit, command, stage", _FOREIGN.values(), ids=_FOREIGN)
-def test_file_of_another_version_or_kind_exits_4(cli_dir, tmp_path, capsys, rel, edit,
-                                                 command, stage):
+@pytest.mark.parametrize("case", _FOREIGN)
+def test_file_of_another_version_or_kind_exits_4(cli_dir, tmp_path, capsys, case):
+    rel, edit, command, stage = _FOREIGN[case]
     wd = tmp_path / "wd"
     shutil.copytree(cli_dir, wd)
     path = wd / rel
     edited = edit(path.read_text("utf-8"))
     path.write_bytes(edited if isinstance(edited, bytes) else edited.encode("utf-8"))
     _redigest(wd, rel)
+    command, *options = command.split()
     extra = ["--input", write_request(tmp_path, rank_request())] if command == "rank" else []
-    assert run_cli(command, *common(wd), *extra) == 4
+    assert run_cli(command, *options, *common(wd), *extra) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    where = f"{path} line {_LINE[case]} " if case in _LINE else str(path)
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
     assert err.endswith(f"; run {stage} first\n"), err
+
+
+@pytest.mark.parametrize("command, model, kind", [
+    ("evaluate", "model.rf.json", "random-forest"),
+    ("rank --model mlp", "model.mlp.json", "mlp"),
+])
+def test_models_of_another_selection_exit_4(cli_dir, tmp_path, capsys, command, model, kind):
+    # selection.json, re-digested, retains one feature fewer than the
+    # models were trained on: they score other columns, so train reruns
+    wd = tmp_path / "wd"
+    shutil.copytree(cli_dir, wd)
+    path = wd / "selection.json"
+    path.write_text(_edit_doc(lambda doc: doc["retained"].pop())(path.read_text("utf-8")), "utf-8")
+    _redigest(wd, "selection.json")
+    command, *options = command.split()
+    extra = ["--input", write_request(tmp_path, rank_request())] if command == "rank" else []
+    assert run_cli(command, *options, *common(wd), *extra) == 4
+    assert capsys.readouterr().err == (
+        f"error: {wd / 'models/smote' / model} is not a {kind} artifact; run train first\n"
+    )
+
+
+# each file that a command reads back, and the commands that read it
+_READ_BACK = {
+    "features.csv": ("evaluate",),
+    "tfidf.json": ("rank",),
+    "selection.json": ("evaluate", "rank"),
+    "models/smote/split.json": ("evaluate",),
+    "models/smote/medians.json": ("rank",),
+    "models/smote/model.rf.json": ("evaluate", "rank"),
+    "models/smote/model.mlp.json": ("evaluate", "rank"),
+}
+_DELETE = object()  # the edit that removes a key, a list item or a cell
+# values that json reads, among them those that no field means
+_MUTATIONS = (float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), 2**63, -1, 0,
+              1e308, 0.5, -0.5, "x", None, [], {}, True, _DELETE)
+
+
+def _mutate_field(data, document):
+    """`document` with one field set to a drawn mutation or deleted.  The
+    field is drawn by a walk from the top down to a leaf, which stops at a
+    container one step in four, but never replaces the top itself."""
+    parent, key, node = None, None, document
+    while isinstance(node, (dict, list)) and node and (key is None or data.draw(st.integers(0, 3))):
+        parent = node
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        node = node[key]
+    mutation = data.draw(st.sampled_from(_MUTATIONS))
+    if mutation is _DELETE:
+        del parent[key]
+    else:
+        parent[key] = mutation
+    return document
+
+
+def _mutate_cell(data, text):
+    """features.csv's `text` with one cell of one row set to a drawn
+    mutation, written as JSON, or deleted."""
+    lines = text.split("\n")
+    i = data.draw(st.integers(1, len(lines) - 2))  # a row; the last line is empty
+    cells = lines[i].split(",")
+    j = data.draw(st.integers(0, len(cells) - 1))
+    mutation = data.draw(st.sampled_from(_MUTATIONS))
+    if mutation is _DELETE:
+        del cells[j]
+    else:
+        cells[j] = json.dumps(mutation)
+    lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [number for item in node for number in _numbers(item)]
+    return [node] if isinstance(node, float) else []
+
+
+def test_one_mutated_field_exits_0_or_4_with_finite_numbers(cli_dir, tmp_path, capsys):
+    # one field of a file that a command reads back, re-digested, so that
+    # the file's own check meets it: the commands that read the file exit 0
+    # with every number that they print or write finite, or exit 4, or exit
+    # 3 because the selection retains nothing; never a traceback
+    wd = tmp_path / "wd"
+    shutil.copytree(cli_dir, wd)
+    manifest = (wd / "manifest.json").read_bytes()
+    request = write_request(tmp_path, rank_request())
+    commands = {"evaluate": [["evaluate"]],
+                "rank": [["rank", "--input", request, "--model", model] for model in ("rf", "mlp")]}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        rel = data.draw(st.sampled_from(sorted(_READ_BACK)))
+        original = (wd / rel).read_text("utf-8")
+        if rel == "features.csv":
+            edited = _mutate_cell(data, original)
+        else:
+            edited = json.dumps(_mutate_field(data, json.loads(original)))
+        (wd / rel).write_text(edited, "utf-8")
+        _redigest(wd, rel)
+        try:
+            for argv in (argv for command in _READ_BACK[rel] for argv in commands[command]):
+                capsys.readouterr()
+                code = run_cli(*argv, "--out", str(wd))
+                out, err = capsys.readouterr()
+                assert code in (0, 4) or err == (
+                    "error: feature selection retained no features; lower the thresholds\n"
+                ), (argv, err)
+                if code == 0:
+                    printed = json.loads(out) if argv[0] == "rank" else json.loads(
+                        (wd / "report/smote/metrics.json").read_text("utf-8"))
+                    assert all(map(math.isfinite, _numbers(printed))), (argv, out)
+        finally:
+            (wd / rel).write_text(original, "utf-8")
+            (wd / "manifest.json").write_bytes(manifest)
+
+    check()
 
 
 def test_training_another_sampler_leaves_the_first_one_stale(cli_dir, tmp_path, capsys):

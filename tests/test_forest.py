@@ -319,6 +319,8 @@ def test_model_schema_checks(tmp_path):
     save_forest(fit_forest(x, y, RfParams(n_estimators=2, max_depth=3)), path)
     payload = json.loads(path.read_text("utf-8"))
     assert load_forest(path).n_features == payload["n_features"]
+    with pytest.raises(StageError, match="not a random-forest artifact; run train first"):
+        load_forest(path, payload["n_features"] + 1)  # columns other than those it scores
     for bad in (dict(payload, schema_version=99), dict(payload, kind="mlp")):
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(StageError, match="not a random-forest artifact; run train first"):

@@ -307,6 +307,8 @@ def test_model_schema_checks(tmp_path):
     save_mlp(fit_mlp(x, y, cfg), path)
     payload = json.loads(path.read_text("utf-8"))
     assert load_mlp(path).n_features == payload["n_features"]
+    with pytest.raises(StageError, match="not a mlp artifact; run train first"):
+        load_mlp(path, payload["n_features"] + 1)  # columns other than those it scores
     for bad in (dict(payload, schema_version=9), dict(payload, kind="random-forest")):
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(StageError, match="not a mlp artifact; run train first"):
