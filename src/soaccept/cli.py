@@ -39,8 +39,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        help="worker processes for the train stage, which fits the network beside"
-        " the forest's trees (at most the CPU count)",
+        help="worker processes for the train stage, which fits the network as one"
+        " task beside contiguous runs of the forest's tree indices (at most the CPU"
+        " count); the randomized search runs in one process",
     )
     p.add_argument("--out", metavar="DIR", help="work directory (default: workdir)")
     p.add_argument("--posts", metavar="FILE", help="posts XML dump")

@@ -6,18 +6,19 @@ consecutive distinct sorted values; ties in impurity are broken toward
 the lowest feature index, then the lowest threshold, so refitting is
 reproducible bit for bit.  Rows with value <= threshold go left.
 
-Every tree draws from its own seeded generator, so the ensemble does not
-depend on how its tree indices are split into blocks.  `fit_trees` fits
-one block; `fit_forest` joins the blocks into the model (out-of-bag
-error, importances).  The train stage runs the blocks beside the network
-in its forked workers (see `pipeline._fit_models`); this module starts no
-process.
+Every tree draws from its own seeded generator, so a tree and its bag
+depend on its index alone.  `fit_forest` grows the trees through a `map`
+over their indices and joins the pairs it yields, in index order, into
+the model (out-of-bag error, importances).  The train stage hands it a
+pool's map, whose forked workers grow the trees beside the network (see
+`pipeline._fit_models`); this module starts no process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,18 +40,19 @@ class RfParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1:
+        # each bound is written as a comparison that NaN fails
+        if not self.n_estimators >= 1:
             raise DataError("n_estimators must be >= 1")
-        if self.max_depth < 1:
+        if not self.max_depth >= 1:
             raise DataError("max_depth must be >= 1")
-        if self.min_samples_split < 2:
+        if not self.min_samples_split >= 2:
             raise DataError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
+        if not self.min_samples_leaf >= 1:
             raise DataError("min_samples_leaf must be >= 1")
         if isinstance(self.max_features, str):
             if self.max_features not in ("sqrt", "all"):
                 raise DataError("max_features must be 'sqrt', 'all', or a positive int")
-        elif self.max_features < 1:
+        elif not self.max_features >= 1:
             raise DataError("integer max_features must be >= 1")
 
 
@@ -242,19 +244,14 @@ def _fit_one(x, y, params, tree_index):
     return tree, in_bag
 
 
-def fit_trees(x, y, params: RfParams, tree_indices) -> list:
-    """(tree, in-bag mask) for each index in `tree_indices`, in order."""
-    return [_fit_one(x, y, params, i) for i in tree_indices]
-
-
-def fit_forest(x, y, params: RfParams, fitted=None) -> ForestModel:
+def fit_forest(x, y, params: RfParams, map=map) -> ForestModel:
     """Fit `params.n_estimators` trees on bootstrap samples.
 
     Each tree draws from its own generator seeded by
     derive_seed(params.seed, "tree:<index>"), so the result does not
-    depend on where its trees were grown.  `fitted`, when given, yields
-    the `fit_trees` pairs of tree indices 0, 1, ... in order, grown
-    elsewhere; by default every tree is grown here.  OOB error is the
+    depend on where its trees were grown: `map` grows them, as the
+    builtin would, and must yield their (tree, in-bag mask) pairs in
+    index order.  OOB error is the
     misclassification rate over rows voted on only by trees whose
     bootstrap missed them; rows in every bag are excluded.  With
     `bootstrap` false every row is, so the error is None: undefined, not 0.
@@ -269,13 +266,11 @@ def fit_forest(x, y, params: RfParams, fitted=None) -> ForestModel:
     if not np.isin(classes, (0, 1)).all():
         raise DataError("labels must be 0/1")
     n, d = x.shape
-    if fitted is None:
-        fitted = fit_trees(x, y, params, range(params.n_estimators))
 
     trees = []
     oob_sum = np.zeros(n)
     oob_votes = np.zeros(n, dtype=np.int64)
-    for tree, in_bag in fitted:
+    for tree, in_bag in map(partial(_fit_one, x, y, params), range(params.n_estimators)):
         trees.append(tree)
         out = ~in_bag
         if out.any():

@@ -50,11 +50,12 @@ class MlpConfig:
             raise DataError(f"hidden must list exactly {N_HIDDEN_LAYERS} layer widths")
         if any(h < 1 for h in self.hidden):
             raise DataError("hidden layer widths must be >= 1")
+        # the bounds below are comparisons that NaN fails
         if not self.learning_rate > 0:
             raise DataError("learning_rate must be positive")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise DataError("batch_size must be >= 1")
-        if self.epochs < 1:
+        if not self.epochs >= 1:
             raise DataError("epochs must be >= 1")
 
 

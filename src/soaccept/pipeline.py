@@ -13,8 +13,10 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,6 @@ from .features import (
 from .forest import (
     RfParams,
     fit_forest,
-    fit_trees,
     forest_predict_proba,
     load_forest,
     save_forest,
@@ -191,24 +192,20 @@ def _worker_count(threads: int, tasks: int) -> int:
     return min(threads, tasks, cpus)
 
 
-def _fit_network(x, y, config: MlpConfig):
-    # submitted by reference, so the pool never pickles whatever object
-    # `fit_mlp` is bound to in this module; the worker looks it up
-    return fit_mlp(x, y, config)
-
-
 def _fit_models(x, y, params: RfParams, config: MlpConfig, threads: int):
     """The forest and the network, both on `x`.
 
     With more than one worker the fits share one pool of forked
-    processes: the network goes in first, as one task, and contiguous
-    blocks of tree indices follow as the others.  The trees are joined
-    in index order as their blocks finish.  Fork starts workers without
-    re-importing anything, which spawn would pay for on every run.  The
-    command line starts no thread of its own, and NumPy's OpenBLAS stops
-    its worker threads at the fork and restarts them on its next call.
-    The pool modules are imported here so that loading the package, and
-    so every `rank` call, does not pay for them.
+    processes: the network goes in first, as one task, and the trees
+    follow through the pool's map, in at most one contiguous run of tree
+    indices per worker, joined in index order.  Fork starts workers
+    without re-importing anything, which spawn would pay for on every
+    run.  The command line starts no thread of its own, and NumPy's
+    OpenBLAS stops its worker threads at the fork and restarts them on
+    its next call.  The pool modules are imported here so that loading
+    the package, and so every `rank` call, does not pay for them.  The
+    network's task is `mlp.fit_mlp`, never whatever this module binds to
+    `fit_mlp`, which the pool might not be able to pickle.
     """
     workers = _worker_count(threads, 1 + params.n_estimators)
     if workers == 1:
@@ -216,15 +213,13 @@ def _fit_models(x, y, params: RfParams, config: MlpConfig, threads: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    from . import mlp
+
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        network = pool.submit(_fit_network, x, y, config)
-        blocks = [
-            pool.submit(fit_trees, x, y, params, block.tolist())
-            for block in np.array_split(np.arange(params.n_estimators), workers)
-        ]
-        fitted = (pair for block in blocks for pair in block.result())
-        return fit_forest(x, y, params, fitted), network.result()
+        network = pool.submit(mlp.fit_mlp, x, y, config)
+        runs = partial(pool.map, chunksize=math.ceil(params.n_estimators / workers))
+        return fit_forest(x, y, params, map=runs), network.result()
 
 
 def cmd_train(cfg: RunConfig, matrix=None) -> dict:

@@ -315,6 +315,14 @@ _FOREIGN = {
     "rf-short": ("models/smote/model.rf.json",
                  _first_tree(lambda tree: tree.update(threshold=tree["threshold"][:1])),
                  "evaluate", "train"),
+    # a forest's max_depth and a network's epochs NaN, which a bound
+    # written with `<` would let through
+    "rf-params-nan": ("models/smote/model.rf.json",
+                      _edit_doc(lambda doc: doc["params"].update(max_depth=float("nan"))),
+                      "evaluate", "train"),
+    "mlp-config-nan": ("models/smote/model.mlp.json",
+                       _edit_doc(lambda doc: doc["config"].update(epochs=float("nan"))),
+                       "rank --model mlp", "train"),
     # medians without their feature names; with three values only
     "medians-names": ("models/smote/medians.json", _without("names"), "rank", "train"),
     "medians-values": ("models/smote/medians.json",

@@ -14,7 +14,6 @@ from soaccept.forest import (
     RfParams,
     fit_forest,
     fit_tree,
-    fit_trees,
     forest_predict_proba,
     load_forest,
     n_sub_features,
@@ -266,6 +265,19 @@ def _saved(model, path) -> bytes:
     return path.read_bytes()
 
 
+def _runs_map(sizes):
+    """A map that grows its indices in contiguous runs of `sizes`, one
+    whole run at a time, and yields the results in index order."""
+    def runs(fn, indices):
+        indices = list(indices)
+        assert sum(sizes) == len(indices)
+        start = 0
+        for size in sizes:
+            yield from [fn(i) for i in indices[start:start + size]]
+            start += size
+    return runs
+
+
 def test_fit_is_deterministic_and_thread_invariant(tmp_path):
     x, y = make_planted(150, seed=9)
     params = RfParams(n_estimators=6, max_depth=5, min_samples_split=2,
@@ -273,11 +285,11 @@ def test_fit_is_deterministic_and_thread_invariant(tmp_path):
     path = tmp_path / "model.rf.json"
     one = _saved(fit_forest(x, y, params), path)
     assert _saved(fit_forest(x, y, params), path) == one
-    # the train workers grow blocks of tree indices; any split joined in
-    # index order gives the same forest (test_pipeline checks the pool)
-    for blocks in ([range(6)], [range(3), range(3, 6)], [[0], [], range(1, 5), [5]]):
-        fitted = [pair for block in blocks for pair in fit_trees(x, y, params, block)]
-        assert _saved(fit_forest(x, y, params, fitted), path) == one
+    # the train pool's map grows contiguous runs of tree indices, each run
+    # as a whole; any runs yielded in index order give the same forest
+    # (test_pipeline checks the pool itself)
+    for sizes in ([6], [3, 3], [1, 0, 4, 1]):
+        assert _saved(fit_forest(x, y, params, map=_runs_map(sizes)), path) == one
 
 
 def test_scaling_a_column_preserves_structure_and_predictions():

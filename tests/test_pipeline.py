@@ -299,8 +299,8 @@ def test_thread_count_does_not_change_models(run_dir, tmp_path):
 
 @pytest.mark.parametrize("n_trees", [1, 7, 23])
 def test_tree_blocks_do_not_change_models(run_dir, tmp_path, n_trees):
-    # tree counts that do not split evenly between two workers; one tree
-    # also leaves a worker an empty block
+    # tree counts that do not split evenly into two runs of tree indices;
+    # one tree also leaves a worker no run
     wd = copy_workdir(run_dir, tmp_path)
     written = []
     for threads in (1, 2):
@@ -318,12 +318,19 @@ def test_worker_count_is_capped_by_tasks_and_cpus():
     assert pipeline._worker_count(16, 1) == 1
 
 
+def _rebound(fn):
+    # a closure, as a tracer's wrapper is, which pickle cannot find by name
+    return lambda *args, **kwargs: fn(*args, **kwargs)
+
+
 def test_train_pool_runs_with_fit_mlp_rebound(run_dir, tmp_path, monkeypatch):
-    # a wrapper bound over `pipeline.fit_mlp`, as a tracer installs one,
-    # cannot be pickled; the pool must still fit the network
+    # wrappers bound over `pipeline.fit_mlp` and `pipeline.fit_forest`, as
+    # a tracer installs them, cannot be pickled; the pool is handed the
+    # module functions `mlp.fit_mlp` and `forest._fit_one`, so it must
+    # still fit both models, and the same ones
     wd = copy_workdir(run_dir, tmp_path)
-    original = pipeline.fit_mlp
-    monkeypatch.setattr(pipeline, "fit_mlp", lambda *a, **k: original(*a, **k))
+    for name in ("fit_mlp", "fit_forest"):
+        monkeypatch.setattr(pipeline, name, _rebound(getattr(pipeline, name)))
     cmd_train(make_config(wd, threads=2))
     assert _files(wd / "models/smote") == _files(run_dir / "models/smote")
 
