@@ -1,22 +1,26 @@
-"""The JSON encoding of every work-directory file, and its schema version.
+"""The JSON encoding of every work-directory file, its schema version,
+and the type rule of every value that the program reads.
 
 `write_json` stamps a document with `SCHEMA_VERSION`, and its `kind`
-when it has one, and writes it with sorted keys.  The version that gates
-a whole work directory is `manifest.json`'s, which every command checks
-first, through `read_json`.  Every other JSON file that a command reads
-back goes through `read_artifact`: version, kind and each field of its
-table present and passing its test (`has_fields`), or `foreign`, the
-exit-4 error naming the stage to rerun.  `is_int` and `is_number` are
-the one rule for every integer and number that the program reads: a
-setting, a field of a file read back, or a field of a `rank` request.
+when it has one, and writes it with sorted keys; `is_this_version` is
+the one test of the stamp.  The version that gates a whole work
+directory is `manifest.json`'s, which every command checks first,
+through `read_json`.  Every other JSON file that a command reads back
+goes through `read_artifact`: version, kind and each field of its table
+present and passing its test (`has_fields`), or `foreign`, the exit-4
+error naming the stage to rerun.  `is_int` and `is_number` are the one
+rule for every integer and number read; `checked` checks each setting,
+of a run or saved in a model file (`load_settings`), against the type
+of its default.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
-from .errors import StageError
+from .errors import ConfigError, StageError
 
 SCHEMA_VERSION = 1
 
@@ -36,6 +40,11 @@ def is_number(value) -> bool:
     # json also reads NaN, Infinity and integers past a float's range,
     # which no field or setting means
     return (isinstance(value, float) and math.isfinite(value)) or is_int(value)
+
+
+def is_this_version(stamp) -> bool:
+    # exactly the integer: true and 1.0 compare equal to 1
+    return is_int(stamp) and stamp == SCHEMA_VERSION
 
 
 def list_of(test):
@@ -85,7 +94,67 @@ def read_artifact(path, kind: str, stage: str, fields: dict) -> dict:
         document = read_json(path)
     except ValueError:  # not JSON, or not UTF-8
         raise foreign(path, kind, stage) from None
-    stamp = {"schema_version": lambda v: v == SCHEMA_VERSION, "kind": lambda v: v == kind}
+    stamp = {"schema_version": is_this_version, "kind": lambda v: v == kind}
     if not has_fields(document, {**stamp, **fields}):
         raise foreign(path, kind, stage)
     return document
+
+
+# the type rule: what a setting accepts, by the type of its default
+_TYPE_RULE = {
+    type(None): (lambda v: v is None or isinstance(v, str), "a path string or null"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (is_int, "an integer"),
+    float: (is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+# the one union, a name or a count, taken by every `max_features` key;
+# RfParams checks which names and counts
+_NAME_OR_INT = (lambda v: is_int(v) or isinstance(v, str), "a name or an integer")
+
+
+def checked(default, value, path: str = ""):
+    """`value` merged onto `default` and checked against its type.
+
+    An object merges key by key, unknown keys rejected; a list takes a
+    non-empty list whose items have the type of its first default item;
+    a float setting stores an int as a float.  Errors name the dotted key.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'configuration'} must be a JSON object")
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"unknown configuration key: {prefix}{key}")
+        return {
+            key: checked(sub, value.get(key, sub), prefix + key)
+            for key, sub in default.items()
+        }
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a non-empty list")
+        return [checked(default[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if path.rpartition(".")[2].partition("[")[0] == "max_features":
+        accepts, wanted = _NAME_OR_INT
+    else:
+        accepts, wanted = _TYPE_RULE[type(default)]
+    if not accepts(value):
+        raise ConfigError(f"{path} must be {wanted}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
+
+
+def settings_of(cls) -> dict:
+    """A stage class's settings and defaults: its fields but `seed`, tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls) if f.name != "seed"}
+
+
+def load_settings(cls, saved):
+    """The `cls` saved as `saved`: exactly its settings, each passing `checked`,
+    and its `seed`, a `derive_seed` output in [0, 2**64), not a setting."""
+    defaults = settings_of(cls)
+    if not (isinstance(saved, dict) and saved.keys() == {*defaults, "seed"}
+            and type(saved["seed"]) is int and 0 <= saved["seed"] < 2**64):
+        raise ConfigError("not the settings that a model saves")
+    return cls(seed=saved["seed"], **checked(defaults, {k: saved[k] for k in defaults}))

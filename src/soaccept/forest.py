@@ -22,8 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from .codec import foreign, is_int, is_number, list_of, read_artifact, write_json
-from .errors import DataError
+from .codec import foreign, is_int, is_number, list_of, load_settings, read_artifact, write_json
+from .errors import ConfigError, DataError
 from .seeding import derive_seed
 
 
@@ -350,7 +350,6 @@ def load_forest(path, n_features: int | None = None) -> ForestModel:
     """The forest saved at `path`; exit 4 unless it is well formed and
     scores `n_features` columns, when given."""
     payload = read_artifact(path, "random-forest", "train", {
-        "params": lambda params: isinstance(params, dict),
         "n_features": lambda d: is_int(d) and d > 0 and n_features in (None, d),
         "oob_error": lambda error: error is None or is_number(error),
         "importances": list_of(is_number),
@@ -358,15 +357,15 @@ def load_forest(path, n_features: int | None = None) -> ForestModel:
     })
     d = payload["n_features"]
     try:
-        params = RfParams(**payload["params"])
+        params = load_settings(RfParams, payload["params"])
         importances = np.asarray(payload["importances"], dtype=np.float64)
         trees = [
             DecisionTree(**{k: np.asarray(t[k], dtype=dtype) for k, dtype in _TREE_ARRAYS.items()},
                          feature_decrease=np.zeros(d))
             for t in payload["trees"]
         ]
-    # unknown or mistyped params; a tree array missing, ragged or not numbers
-    except (DataError, KeyError, TypeError, ValueError, OverflowError):
+    # params that load_settings refuses; a tree array missing, ragged or not numbers
+    except (ConfigError, DataError, KeyError, TypeError, ValueError, OverflowError):
         raise foreign(path, "random-forest", "train") from None
     if importances.shape != (d,) or not _trees_well_formed(trees, d):
         raise foreign(path, "random-forest", "train")

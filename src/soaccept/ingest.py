@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
-from .codec import SCHEMA_VERSION, fits_int64, foreign, has_fields, is_int, list_of
+from .codec import SCHEMA_VERSION, fits_int64, foreign, has_fields, is_int, is_this_version, list_of
 from .errors import DataError
 
 _TAG_RE = re.compile(r"<([^<>]+)>")
@@ -395,7 +395,7 @@ def read_dataset(path) -> list[QARecord]:
                     )
                     for a in obj["answers"]
                 ]
-                well_typed = (is_int(obj["v"]) and obj["v"] == SCHEMA_VERSION
+                well_typed = (is_this_version(obj["v"])
                               and question is not None
                               and all(a.post is not None and is_int(a.user.reputation)
                                       and isinstance(a.accepted, bool) for a in answers))

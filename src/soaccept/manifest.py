@@ -23,7 +23,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .codec import SCHEMA_VERSION, read_json, write_json
+from .codec import has_fields, is_this_version, read_json, write_json
 from .errors import StageError
 from .settings import RunConfig
 
@@ -98,6 +98,18 @@ def _fingerprint(stage: str, cfg: RunConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _names_to_digests(files) -> bool:
+    return isinstance(files, dict) and all(isinstance(v, str) for v in files.values())
+
+
+# the fields of each stage's record, as `record_stage` writes them
+_RECORD = {
+    "config": lambda config: isinstance(config, str),
+    "inputs": _names_to_digests,
+    "outputs": _names_to_digests,
+}
+
+
 def _load_manifest(path: Path) -> dict:
     if not path.exists():
         return {"stages": {}}
@@ -105,9 +117,10 @@ def _load_manifest(path: Path) -> dict:
         manifest = read_json(path)
     except ValueError:  # not JSON, or not UTF-8
         manifest = None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict) or not all(has_fields(r, _RECORD) for r in stages.values()):
         raise StageError("manifest.json is corrupt; remove it and rerun ingest")
-    if manifest.get("schema_version") != SCHEMA_VERSION:
+    if not is_this_version(manifest.get("schema_version")):
         raise StageError(
             f"manifest schema {manifest.get('schema_version')!r} is not supported;"
             " remove it and rerun ingest"
@@ -147,11 +160,11 @@ def verify_chain(cfg: RunConfig, priors, requester: str) -> dict:
             raise StageError(
                 f"stage '{requester}' needs {_STAGES[prior][0]}; run {prior} first"
             )
-        if entry.get("config") != _fingerprint(prior, cfg):
+        if entry["config"] != _fingerprint(prior, cfg):
             raise StageError(
                 f"settings for stage '{prior}' changed after it ran; run {prior} first"
             )
-        for label, want in entry.get("inputs", {}).items():
+        for label, want in entry["inputs"].items():
             if prior == "ingest":
                 # source dumps are external; they are only comparable while
                 # the config still points at them, and the work directory
@@ -164,7 +177,7 @@ def verify_chain(cfg: RunConfig, priors, requester: str) -> dict:
                 got = verified.get(label)
             if got != want:
                 raise StageError(f"{label} changed after stage '{prior}' ran; run {prior} first")
-        for rel, want in entry.get("outputs", {}).items():
+        for rel, want in entry["outputs"].items():
             out = Path(cfg.workdir, rel)
             if not out.exists():
                 raise StageError(f"{rel} is missing; run {prior} first")

@@ -12,8 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import foreign, is_int, is_number, list_of, read_artifact, write_json
-from .errors import DataError
+from .codec import foreign, is_int, is_number, list_of, load_settings, read_artifact, write_json
+from .errors import ConfigError, DataError
 from .resample import Scaler, standardize
 from .seeding import derive_seed
 
@@ -45,7 +45,7 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if len(self.hidden) != N_HIDDEN_LAYERS:
             raise DataError(f"hidden must list exactly {N_HIDDEN_LAYERS} layer widths")
         if any(h < 1 for h in self.hidden):
@@ -262,7 +262,6 @@ def load_mlp(path, n_features: int | None = None) -> MlpModel:
     biases are finite and have the shapes that its `n_features` and
     `config.hidden` give, with no `sd` negative (a constant column saves 0)."""
     payload = read_artifact(path, "mlp", "train", {
-        "config": lambda config: isinstance(config, dict),
         "n_features": lambda d: is_int(d) and d > 0 and n_features in (None, d),
         "mean": list_of(is_number),  # the input scaling, without which it cannot score
         "sd": list_of(is_number),
@@ -270,12 +269,12 @@ def load_mlp(path, n_features: int | None = None) -> MlpModel:
     })
     n_features = payload["n_features"]
     try:
-        config = MlpConfig(**payload["config"])
+        config = load_settings(MlpConfig, payload["config"])
         mean, sd = (np.asarray(payload[k], dtype=np.float64) for k in ("mean", "sd"))
         weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    # unknown or mistyped config; layers missing, ragged or not numbers
-    except (DataError, KeyError, TypeError, ValueError, OverflowError):
+    # config that load_settings refuses; layers missing, ragged or not numbers
+    except (ConfigError, DataError, KeyError, TypeError, ValueError, OverflowError):
         raise foreign(path, "mlp", "train") from None
     sizes = (n_features, *config.hidden, 1)
     layers = list(zip(sizes[1:], sizes))  # (n_out, n_in) of each layer

@@ -1,19 +1,20 @@
-"""The settings tree: its defaults, the type rule, `--set` parsing and
-`RunConfig`.
+"""The settings tree: its defaults, `--set` parsing and `RunConfig`.
 
 Settings come from an optional JSON file, then `--set key.path=value`
 overrides, then the dedicated flags.  Every value is checked against the
-type of its default, and every stage object is built once at load time,
-so a bad value fails before any stage runs, named by its dotted key.
+type of its default by `codec.checked`, the type rule that the model
+files' saved settings also pass, and every stage object is built once at
+load time, so a bad value fails before any stage runs, named by its
+dotted key.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .codec import is_int, is_number
+from .codec import checked, settings_of
 from .errors import ConfigError, DataError
 from .forest import RfParams
 from .ingest import IngestFilter
@@ -21,18 +22,6 @@ from .learners import SearchSpace, SplitSpec
 from .mlp import MlpConfig
 from .resample import ResamplePlan
 from .seeding import derive_seed
-
-
-def _defaults(cls, **pipeline_defaults) -> dict:
-    """A stage class's defaults as a settings section: every field but
-    `seed`, tuples as lists, then the values where the pipeline's default
-    differs from the class's."""
-    section = {
-        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-        for f in fields(cls)
-        if f.name != "seed"
-    }
-    return {**section, **pipeline_defaults}
 
 
 DEFAULT_CONFIG = {
@@ -46,57 +35,13 @@ DEFAULT_CONFIG = {
         "years": [2014, 2016],
     },
     "selection": {"r_threshold": 0.7, "ig_threshold": 0.4, "mi_k": 3},
-    "split": _defaults(SplitSpec),
-    "resample": _defaults(ResamplePlan, method="smote"),
-    "forest": _defaults(RfParams),
-    "mlp": _defaults(MlpConfig),
-    "search": _defaults(SearchSpace, enabled=False),
+    "split": settings_of(SplitSpec),
+    "resample": {**settings_of(ResamplePlan), "method": "smote"},
+    "forest": settings_of(RfParams),
+    "mlp": settings_of(MlpConfig),
+    "search": {**settings_of(SearchSpace), "enabled": False},
     "evaluate": {"importance_rounds": 5},
 }
-
-
-# the type rule: what a setting accepts, by the type of its default
-_TYPE_RULE = {
-    type(None): (lambda v: v is None or isinstance(v, str), "a path string or null"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (is_int, "an integer"),
-    float: (is_number, "a number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-}
-# the one union, a name or a count; RfParams checks which names and counts
-_NAME_OR_INT = (lambda v: is_int(v) or isinstance(v, str), "a name or an integer")
-_NAME_OR_INT_KEYS = ("forest.max_features", "search.max_features")
-
-
-def _checked(default, value, path: str = ""):
-    """`value` merged onto `default` and checked against its type.
-
-    An object merges key by key, unknown keys rejected; a list takes a
-    non-empty list whose items have the type of its first default item;
-    a float setting stores an int as a float.  Errors name the dotted key.
-    """
-    if isinstance(default, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path or 'configuration'} must be a JSON object")
-        prefix = f"{path}." if path else ""
-        for key in value:
-            if key not in default:
-                raise ConfigError(f"unknown configuration key: {prefix}{key}")
-        return {
-            key: _checked(sub, value.get(key, sub), prefix + key)
-            for key, sub in default.items()
-        }
-    if isinstance(default, list):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path} must be a non-empty list")
-        return [_checked(default[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
-    if path.partition("[")[0] in _NAME_OR_INT_KEYS:
-        accepts, wanted = _NAME_OR_INT
-    else:
-        accepts, wanted = _TYPE_RULE[type(default)]
-    if not accepts(value):
-        raise ConfigError(f"{path} must be {wanted}, got {value!r}")
-    return float(value) if isinstance(default, float) else value
 
 
 def _parse_set_value(text: str):
@@ -145,7 +90,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        cfg = cls(_checked(DEFAULT_CONFIG, data))
+        cfg = cls(checked(DEFAULT_CONFIG, data))
         if not cfg.workdir:
             raise ConfigError("workdir must be a non-empty path string")
         if cfg.threads < 1:

@@ -220,13 +220,20 @@ def test_stage_dependency_error_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text",
     ['{"schema_version": 1, "stag', '{"schema_version": 1}', "[]",
-     '{"schema_version": 1, "stages": []}'],
-    ids=["truncated", "no-stages", "list", "stages-list"],
+     '{"schema_version": 1, "stages": []}',
+     '{"schema_version": 1, "stages": {"ingest": []}}',
+     '{"schema_version": 1, "stages": {"ingest": {"config": <c>, "inputs": [], "outputs": {}}}}',
+     '{"schema_version": 1, "stages": {"ingest": {"config": <c>, "inputs": {}, "outputs": 5}}}'],
+    ids=["truncated", "no-stages", "list", "stages-list", "record-list", "inputs-list",
+         "outputs-number"],
 )
 def test_corrupt_manifest_exits_4(tmp_path, capsys, text):
     wd = tmp_path / "wd"
     assert run_cli("ingest", *common(wd)) == 0
-    (wd / "manifest.json").write_text(text, encoding="utf-8")
+    # a record keeps ingest's real settings digest, so that its files are
+    # what the check meets
+    config = json.loads((wd / "manifest.json").read_text("utf-8"))["stages"]["ingest"]["config"]
+    (wd / "manifest.json").write_text(text.replace("<c>", json.dumps(config)), "utf-8")
     assert run_cli("features", *common(wd)) == 4
     assert "manifest.json is corrupt; remove it and rerun ingest" in capsys.readouterr().err
 
@@ -239,6 +246,19 @@ def test_unsupported_manifest_schema_names_the_remedy(tmp_path, capsys):
     assert run_cli("features", *common(wd)) == 4
     assert capsys.readouterr().err == (
         "error: manifest schema 2 is not supported; remove it and rerun ingest\n"
+    )
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_manifest_version_is_the_integer(tmp_path, capsys, version):
+    # true and 1.0 equal 1, but neither is the version that codec writes
+    wd = tmp_path / "wd"
+    assert run_cli("ingest", *common(wd)) == 0
+    manifest = json.loads((wd / "manifest.json").read_text("utf-8"))
+    (wd / "manifest.json").write_text(json.dumps(dict(manifest, schema_version=version)), "utf-8")
+    assert run_cli("features", *common(wd)) == 4
+    assert capsys.readouterr().err == (
+        f"error: manifest schema {version!r} is not supported; remove it and rerun ingest\n"
     )
 
 
@@ -323,6 +343,33 @@ _FOREIGN = {
     "mlp-config-nan": ("models/smote/model.mlp.json",
                        _edit_doc(lambda doc: doc["config"].update(epochs=float("nan"))),
                        "rank --model mlp", "train"),
+    # a forest's max_depth infinite, n_estimators not an integer, max_depth
+    # missing and seed not a number; a network's first width not an integer
+    # and learning rate a boolean: each a value that the settings' type rule
+    # rejects, or a key that the model does not save
+    "rf-params-inf": ("models/smote/model.rf.json",
+                      _edit_doc(lambda doc: doc["params"].update(max_depth=float("inf"))),
+                      "evaluate", "train"),
+    "rf-params-float": ("models/smote/model.rf.json",
+                        _edit_doc(lambda doc: doc["params"].update(n_estimators=2.5)),
+                        "rank --model rf", "train"),
+    "rf-params-missing": ("models/smote/model.rf.json",
+                          _edit_doc(lambda doc: doc["params"].pop("max_depth")),
+                          "evaluate", "train"),
+    "rf-params-seed": ("models/smote/model.rf.json",
+                       _edit_doc(lambda doc: doc["params"].update(seed="x")),
+                       "rank --model rf", "train"),
+    "mlp-config-hidden": ("models/smote/model.mlp.json",
+                          _edit_doc(lambda doc: doc["config"]["hidden"].__setitem__(0, 64.5)),
+                          "evaluate", "train"),
+    "mlp-config-rate": ("models/smote/model.mlp.json",
+                        _edit_doc(lambda doc: doc["config"].update(learning_rate=True)),
+                        "rank --model mlp", "train"),
+    # a version stamp that equals 1 but is not the integer
+    "rf-version-bool": ("models/smote/model.rf.json", _edit_json(schema_version=True),
+                        "evaluate", "train"),
+    "selection-version-float": ("selection.json", _edit_json(schema_version=1.0),
+                                "evaluate", "select"),
     # medians without their feature names; with three values only
     "medians-names": ("models/smote/medians.json", _without("names"), "rank", "train"),
     "medians-values": ("models/smote/medians.json",

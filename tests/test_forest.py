@@ -314,7 +314,9 @@ def test_scaling_a_column_preserves_structure_and_predictions():
 
 def test_model_round_trip_is_bit_exact(tmp_path):
     x, y = make_planted(120, seed=3)
-    model = fit_forest(x, y, RfParams(n_estimators=4, max_depth=5, seed=8))
+    # a saved seed is a derive_seed output, which reaches 2**64 - 1, past
+    # the signed 64-bit range that a setting takes
+    model = fit_forest(x, y, RfParams(n_estimators=4, max_depth=5, seed=2**64 - 1))
     path = tmp_path / "model.rf.json"
     save_forest(model, path)
     loaded = load_forest(path)

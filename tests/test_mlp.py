@@ -285,8 +285,10 @@ def test_training_is_deterministic(tmp_path):
 
 def test_model_round_trip_is_bit_exact(tmp_path):
     x, y = make_blobs(50, seed=10)
+    # a saved seed is a derive_seed output, which reaches 2**64 - 1, past
+    # the signed 64-bit range that a setting takes
     cfg = MlpConfig(hidden=(5, 4, 3, 3, 2), learning_rate=0.3, batch_size=8,
-                    epochs=10, seed=11)
+                    epochs=10, seed=2**64 - 1)
     model = fit_mlp(x, y, cfg)
     path = tmp_path / "model.mlp.json"
     save_mlp(model, path)
