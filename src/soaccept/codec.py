@@ -1,17 +1,17 @@
 """The JSON encoding of every work-directory file, its schema version,
 and the type rule of every value that the program reads.
 
-`write_json` stamps a document with `SCHEMA_VERSION`, and its `kind`
-when it has one, and writes it with sorted keys; `is_this_version` is
-the one test of the stamp.  The version that gates a whole work
-directory is `manifest.json`'s, which every command checks first,
-through `read_json`.  Every other JSON file that a command reads back
-goes through `read_artifact`: version, kind and each field of its table
-present and passing its test (`has_fields`), or `foreign`, the exit-4
-error naming the stage to rerun.  `is_int` and `is_number` are the one
-rule for every integer and number read; `checked` checks each setting,
-of a run or saved in a model file (`load_settings`), against the type
-of its default.
+`stamped` stamps a document with `SCHEMA_VERSION`, and its `kind` when
+it has one: every file that `write_json` writes, with sorted keys, and
+`rank`'s output.  `is_this_version` is the one test of the stamp.  The
+version that gates a whole work directory is `manifest.json`'s, which
+every command checks first, through `read_json`.  Every other JSON file
+that a command reads back goes through `read_artifact`: version, kind
+and each field of its table present and passing its test (`has_fields`),
+or `foreign`, the exit-4 error naming the stage to rerun.  `is_int` and
+`is_number` are the one rule for every integer and number read;
+`checked` checks each setting, of a run or saved in a model file
+(`load_settings`), against the type of its default.
 """
 
 from __future__ import annotations
@@ -62,16 +62,22 @@ def foreign(path, kind: str, stage: str) -> StageError:
     return StageError(f"{path} is not a {kind} artifact; run {stage} first")
 
 
+def stamped(payload: dict, kind: str | None = None) -> dict:
+    """`payload` stamped with `SCHEMA_VERSION`, and with `kind` when given."""
+    document = {**payload, "schema_version": SCHEMA_VERSION}
+    if kind is not None:
+        document["kind"] = kind
+    return document
+
+
 def write_json(path, payload: dict, kind: str | None = None, compact: bool = False) -> dict:
-    """Write `payload`, stamped, to `path`, and return what was written.
+    """Write `payload`, `stamped`, to `path`, and return what was written.
 
     Indented by 2, or on one line if `compact` (the model files); dumps
     takes the C encoder there, which dump with a file never does, and
     dump keeps an indented file from being held whole as text.
     """
-    document = {**payload, "schema_version": SCHEMA_VERSION}
-    if kind is not None:
-        document["kind"] = kind
+    document = stamped(payload, kind)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if compact:
             fh.write(json.dumps(document, sort_keys=True, ensure_ascii=False,

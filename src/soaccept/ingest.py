@@ -148,8 +148,8 @@ def stream_rows(source) -> Iterator[dict]:
             parser.Parse(chunk, not chunk)
         except xml.parsers.expat.ExpatError as exc:
             raise ParseError(
-                f"malformed dump XML: {exc} "
-                f"(last complete row at byte {last_row_byte[0]})",
+                f"malformed dump XML: {exc} (error at byte {parser.ErrorByteIndex},"
+                f" last complete row at byte {last_row_byte[0]})",
                 error_byte=parser.ErrorByteIndex,
                 last_row_byte=last_row_byte[0],
             ) from exc

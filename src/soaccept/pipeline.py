@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import is_int, is_number, list_of, read_artifact, write_json
+from .codec import is_int, is_number, list_of, read_artifact, stamped, write_json
 from .errors import ConfigError, DataError
 from .features import (
     FEATURE_NAMES,
@@ -111,7 +111,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
     except OSError as exc:
         raise DataError(f"cannot read input file: {exc}") from exc
 
-    records, report = build_dataset(posts, users, cfg.ingest_filter())
+    records, report = build_dataset(posts, users, cfg.filter)
     if not records:
         raise DataError("no questions survived the ingest filters")
     outputs = [artifact(cfg, "dataset.jsonl"), artifact(cfg, "ingest_report.json")]
@@ -235,24 +235,20 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     _, _, x = _read_selection(cfg, matrix)
     y = matrix.y.astype(np.int8)
 
-    spec = cfg.split_spec()
     try:
-        train_idx, test_idx = split_indices(len(y), spec)
+        train_idx, test_idx = split_indices(len(y), cfg.split)
     except DataError as exc:
         raise DataError(f"cannot split {len(y)} rows: {exc}") from exc
     x_train, y_train = x[train_idx], y[train_idx]
-    plan = cfg.resample_plan()
 
     search_result = None
-    space = cfg.search_space()
-    if space is not None:
-        search_result = random_search(x_train, y_train, space, plan)
+    params = cfg.forest
+    if cfg.search is not None:
+        search_result = random_search(x_train, y_train, cfg.search, cfg.resample)
         params = search_result.best
-    else:
-        params = cfg.rf_params()
 
-    x_res, y_res = apply_plan(x_train, y_train, plan)
-    forest, mlp = _fit_models(x_res, y_res, params, cfg.mlp_config(), cfg.threads)
+    x_res, y_res = apply_plan(x_train, y_train, cfg.resample)
+    forest, mlp = _fit_models(x_res, y_res, params, cfg.mlp, cfg.threads)
 
     # medians of the raw training split, for imputing unobserved features
     # at ranking time; computed over all columns, not just the retained ones
@@ -269,7 +265,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
             "values": medians.tolist(),
         }),
         "models/{}/split.json": ("split", {
-            "train_fraction": spec.train_fraction,
+            "train_fraction": cfg.split.train_fraction,
             "train": train_idx.tolist(),
             "test": test_idx.tolist(),
         }),
@@ -501,8 +497,7 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
         scores = mlp_predict_proba(mlp, x)
 
     order = sorted(range(len(values)), key=lambda i: (-scores[i], i))
-    return {
-        "schema_version": 1,
+    return stamped({
         "model": model_kind,
         "sampler": cfg.sampler,
         "candidates": [
@@ -513,4 +508,4 @@ def cmd_rank(cfg: RunConfig, input_path, model_kind: str = "rf") -> dict:
             }
             for i in order
         ],
-    }
+    })

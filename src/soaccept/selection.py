@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .resample import standardize
 
 # fixed internal seed for the tie-breaking jitter: estimates are
 # reproducible across runs and thread counts
@@ -38,15 +39,12 @@ def pearson_matrix(x: np.ndarray, names: tuple[str, ...]) -> CorrelationMatrix:
     """Pairwise sample Pearson r; a zero-variance column gets r = 0."""
     if x.shape[0] < 2:
         raise DataError("pearson_matrix needs at least 2 rows")
-    x = np.asarray(x, dtype=np.float64)
-    centered = x - x.mean(axis=0)
-    sd = np.sqrt((centered**2).mean(axis=0))
-    safe_sd = np.where(sd == 0.0, 1.0, sd)
-    z = centered / safe_sd
-    r = z.T @ z / x.shape[0]
-    flat = sd == 0.0
-    r[flat, :] = 0.0
-    r[:, flat] = 0.0
+    z, scaler = standardize(x)
+    # r row by row, each sum in NumPy's fixed order rather than in the
+    # order of whichever BLAS kernel the machine picks
+    zt = np.ascontiguousarray(z.T)
+    r = np.array([np.add.reduce(row * zt, axis=1) for row in zt]) / x.shape[0]
+    flat = scaler.sd == 0.0
     np.fill_diagonal(r, 1.0)
     r = np.clip(r, -1.0, 1.0)
     return CorrelationMatrix(

@@ -3,9 +3,10 @@
 Settings come from an optional JSON file, then `--set key.path=value`
 overrides, then the dedicated flags.  Every value is checked against the
 type of its default by `codec.checked`, the type rule that the model
-files' saved settings also pass, and every stage object is built once at
-load time, so a bad value fails before any stage runs, named by its
-dotted key.
+files' saved settings also pass.  `RunConfig` builds every stage object
+once, at load time, and holds it, so a bad value fails before any stage
+runs: a mistyped one named by its dotted key, one that a stage rejects
+by its section.
 """
 
 from __future__ import annotations
@@ -83,39 +84,55 @@ def apply_set_overrides(data: dict, assignments) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Checked pipeline settings: `DEFAULT_CONFIG`'s tree with the
-    overrides merged in.  Seeds for each stage derive from `seed`."""
+    """Checked settings, `DEFAULT_CONFIG`'s tree with the overrides merged
+    in, and the stage objects that `from_dict` builds from its sections
+    once, each seeded from `seed`; `search` is None unless `search.enabled`."""
 
     settings: dict
+    filter: IngestFilter
+    split: SplitSpec
+    resample: ResamplePlan
+    forest: RfParams
+    mlp: MlpConfig
+    search: SearchSpace | None
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        cfg = cls(checked(DEFAULT_CONFIG, data))
-        if not cfg.workdir:
+        settings = checked(DEFAULT_CONFIG, data)
+        if not settings["workdir"]:
             raise ConfigError("workdir must be a non-empty path string")
-        if cfg.threads < 1:
+        if settings["threads"] < 1:
             raise ConfigError("threads must be >= 1")
-        if len(cfg.settings["filter"]["years"]) != 2:
+        if len(settings["filter"]["years"]) != 2:
             raise ConfigError("filter.years must be [first, last]")
-        if cfg.settings["selection"]["mi_k"] < 1:
+        if settings["selection"]["mi_k"] < 1:
             raise ConfigError("selection: mi_k must be >= 1")
-        if cfg.settings["evaluate"]["importance_rounds"] < 1:
+        if settings["evaluate"]["importance_rounds"] < 1:
             raise ConfigError("evaluate.importance_rounds must be >= 1")
-        # building every stage object up front surfaces bad values at load
-        # time instead of deep inside a run, named by their section
-        for section, build in (
-            ("filter", cfg.ingest_filter),
-            ("split", cfg.split_spec),
-            ("resample", cfg.resample_plan),
-            ("forest", cfg.rf_params),
-            ("mlp", cfg.mlp_config),
-            ("search", cfg.search_space),
-        ):
+
+        def build(section, make, **values):
             try:
-                build()
+                return make(**values)
             except DataError as exc:
                 raise ConfigError(f"{section}: {exc}") from exc
-        return cfg
+
+        def seeded(section, make, values):
+            return build(section, make, seed=derive_seed(settings["seed"], section), **values)
+
+        d, grids = settings["filter"], settings["search"]
+        return cls(
+            settings,
+            filter=build("filter", IngestFilter, tags_any_of=frozenset(d["tags"]),
+                         year_range=tuple(d["years"])),
+            split=seeded("split", SplitSpec, settings["split"]),
+            resample=seeded("resample", ResamplePlan, settings["resample"]),
+            forest=seeded("forest", RfParams, settings["forest"]),
+            mlp=seeded("mlp", MlpConfig, settings["mlp"]),
+            search=seeded("search", SearchSpace, {
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in grids.items() if k != "enabled"
+            }) if grids["enabled"] else None,
+        )
 
     @property
     def posts(self) -> str | None:
@@ -140,42 +157,12 @@ class RunConfig:
     @property
     def sampler(self) -> str:
         """The resampling method, which names the model and report directories."""
-        return self.settings["resample"]["method"]
-
-    def ingest_filter(self) -> IngestFilter:
-        d = self.settings["filter"]
-        return IngestFilter(tags_any_of=frozenset(d["tags"]), year_range=tuple(d["years"]))
-
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec(seed=derive_seed(self.seed, "split"), **self.settings["split"])
-
-    def resample_plan(self) -> ResamplePlan:
-        return ResamplePlan(seed=derive_seed(self.seed, "resample"), **self.settings["resample"])
-
-    def rf_params(self) -> RfParams:
-        return RfParams(seed=derive_seed(self.seed, "forest"), **self.settings["forest"])
-
-    def mlp_config(self) -> MlpConfig:
-        return MlpConfig(seed=derive_seed(self.seed, "mlp"), **self.settings["mlp"])
-
-    def search_space(self) -> SearchSpace | None:
-        d = dict(self.settings["search"])
-        if not d.pop("enabled"):
-            return None
-        grids = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        return SearchSpace(seed=derive_seed(self.seed, "search"), **grids)
+        return self.resample.method
 
 
-def load_config(
-    path=None,
-    sets=(),
-    seed: int | None = None,
-    threads: int | None = None,
-    workdir: str | None = None,
-    posts: str | None = None,
-    users: str | None = None,
-) -> RunConfig:
-    """Config file, then --set overrides, then dedicated flags; all optional."""
+def load_config(path=None, sets=(), **flags) -> RunConfig:
+    """Config file, then --set overrides, then `flags`: top-level keys, such
+    as `workdir` for --out, that override unless None.  All optional."""
     data: dict = {}
     if path is not None:
         try:
@@ -188,13 +175,5 @@ def load_config(
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
     data = apply_set_overrides(data, sets)
-    for key, value in (
-        ("seed", seed),
-        ("threads", threads),
-        ("workdir", workdir),
-        ("posts", posts),
-        ("users", users),
-    ):
-        if value is not None:
-            data[key] = value
+    data.update((key, value) for key, value in flags.items() if value is not None)
     return RunConfig.from_dict(data)

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,16 @@ def test_stream_malformed_has_byte_offset():
     with pytest.raises(ParseError) as err:
         list(stream_rows(io.BytesIO(b"<rows><row Id='1'/><oops</rows>")))
     assert err.value.error_byte >= 0
+
+
+def test_malformed_message_names_both_byte_offsets():
+    # the bundled posts dump cut mid-row, as a truncated download leaves it
+    cut = (Path(__file__).parent / "fixtures" / "Posts.xml").read_bytes()[:3000]
+    with pytest.raises(ParseError) as err:
+        list(stream_rows(io.BytesIO(cut)))
+    assert (err.value.error_byte, err.value.last_row_byte) == (2973, 2970)
+    assert str(err.value) == ("malformed dump XML: unclosed token: line 11, column 2"
+                              " (error at byte 2973, last complete row at byte 2970)")
 
 
 def test_stream_memory_stays_bounded():

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import os
+import platform
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from soaccept import features, manifest, pipeline
+from soaccept import codec, features, manifest, pipeline
 from soaccept.ingest import IngestFilter, parse_timestamp, read_dataset
 from soaccept.errors import ConfigError, DataError, StageError
 from soaccept.manifest import artifact
@@ -52,12 +55,12 @@ def test_defaults_load_without_a_file():
     cfg = load_config()
     assert cfg.seed == 0
     assert cfg.sampler == "smote"
-    assert cfg.ingest_filter() == IngestFilter(
+    assert cfg.filter == IngestFilter(
         tags_any_of=frozenset({"java", "javascript"}), year_range=(2014, 2016)
     )
-    assert cfg.rf_params().n_estimators == 200
-    assert cfg.mlp_config().hidden == (64, 64, 32, 32, 16)
-    assert cfg.search_space() is None
+    assert cfg.forest.n_estimators == 200
+    assert cfg.mlp.hidden == (64, 64, 32, 32, 16)
+    assert cfg.search is None
 
 
 def test_unknown_keys_rejected():
@@ -129,7 +132,7 @@ def test_search_space_built_when_enabled():
     cfg = RunConfig.from_dict(
         {"search": {"enabled": True, "n_iterations": 7, "n_estimators": [10, 20]}}
     )
-    space = cfg.search_space()
+    space = cfg.search
     assert space.n_iterations == 7
     assert space.n_estimators == (10, 20)
     assert space.cv_folds == 4
@@ -170,10 +173,10 @@ def test_stage_fingerprints_are_pinned(sets, changed):
 def test_stage_seeds_differ():
     cfg = load_config()
     seeds = {
-        cfg.split_spec().seed,
-        cfg.resample_plan().seed,
-        cfg.rf_params().seed,
-        cfg.mlp_config().seed,
+        cfg.split.seed,
+        cfg.resample.seed,
+        cfg.forest.seed,
+        cfg.mlp.seed,
     }
     assert len(seeds) == 4
 
@@ -701,6 +704,36 @@ def test_train_without_search_removes_stale_search_report(run_dir, tmp_path):
     assert "models/smote/search.json" not in written
 
 
+def _openblas_dynamic_arch() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a NumPy without the dicts mode
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# every file that the README says no BLAS kernel changes
+_KERNEL_FREE = ("dataset.jsonl", "ingest_report.json", "features.csv", "tfidf.json",
+                "feature_stats.json", "selection.json", "models/smote/model.rf.json",
+                "models/smote/split.json", "models/smote/medians.json")
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _openblas_dynamic_arch(),
+                    reason="needs an x86-64 OpenBLAS that picks its kernel at load time")
+def test_artifacts_before_the_network_do_not_depend_on_the_blas_kernel(run_dir, tmp_path):
+    # Prescott, the oldest x86-64 kernel, orders its sums unlike the newer
+    # ones; run_dir ran the quickstart on this machine's own kernel
+    wd = tmp_path / "prescott"
+    done = subprocess.run(
+        [sys.executable, "-m", "soaccept.cli", "run", "--posts", POSTS, "--users", USERS,
+         "--out", str(wd)],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    for rel in _KERNEL_FREE:
+        assert (wd / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
+
+
 # -- ranking ----------------------------------------------------------------
 
 def rank_payload():
@@ -749,6 +782,13 @@ def test_rank_prefers_the_planted_strong_answer(run_dir, tmp_path):
     assert by_index[1]["imputed"] == []
     # the weak answer gave body, timestamp and reputation, nothing else
     assert by_index[0]["imputed"] == ["CommentCount", "Score", "SignUpDateTimeLag"]
+
+
+def test_rank_output_carries_the_work_directory_version(run_dir, tmp_path):
+    result = cmd_rank(make_config(run_dir), write_payload(tmp_path, rank_payload()))
+    stamp = json.loads((run_dir / "manifest.json").read_text("utf-8"))["schema_version"]
+    assert codec.is_this_version(result["schema_version"])
+    assert result["schema_version"] == codec.SCHEMA_VERSION == stamp
 
 
 def test_rank_is_deterministic_across_calls_and_models(run_dir, tmp_path):
