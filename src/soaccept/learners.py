@@ -1,10 +1,11 @@
 """Train/test splitting, randomized hyperparameter search, importances.
 
 The split keeps floor(n * fraction) rows for training under a seeded
-permutation.  The search samples forest configurations uniformly and
-scores each with stratified k-fold cross-validation, rebalancing inside
-every training fold so no synthetic point ever leaks into validation.
-Score ties prefer fewer trees, then shallower ones.
+permutation.  The search draws forest configurations uniformly, one
+value from each forest setting's grid, and scores each with stratified
+k-fold cross-validation, rebalancing inside every training fold so no
+synthetic point ever leaks into validation.  Score ties prefer fewer
+trees, then shallower ones, then the earlier draw.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .codec import settings_of
 from .errors import DataError
 from .forest import ForestModel, RfParams, fit_forest, forest_predict_proba
 from .mlp import MlpModel, mlp_predict_proba
@@ -42,6 +44,10 @@ def split_indices(n: int, spec: SplitSpec):
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
+# one grid per forest setting, in RfParams's field order, which is the draw order
+_GRIDS = tuple(settings_of(RfParams))
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Candidate grid for the randomized forest search."""
@@ -57,8 +63,7 @@ class SearchSpace:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_estimators", "max_depth", "min_samples_split",
-                     "min_samples_leaf", "max_features", "bootstrap"):
+        for name in _GRIDS:
             if len(getattr(self, name)) == 0:
                 raise DataError(f"search space field {name} must not be empty")
             for value in getattr(self, name):
@@ -91,18 +96,6 @@ def stratified_kfold(y, n_folds: int, seed: int):
     return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
 
 
-def _draw_params(rng, space: SearchSpace) -> dict:
-    pick = lambda options: options[int(rng.integers(len(options)))]
-    return {
-        "n_estimators": pick(space.n_estimators),
-        "max_depth": pick(space.max_depth),
-        "min_samples_split": pick(space.min_samples_split),
-        "min_samples_leaf": pick(space.min_samples_leaf),
-        "max_features": pick(space.max_features),
-        "bootstrap": pick(space.bootstrap),
-    }
-
-
 def _cv_score(combo: dict, fold_sets, space: SearchSpace):
     key = ":".join(str(combo[k]) for k in sorted(combo))
     accuracies = []
@@ -117,10 +110,12 @@ def _cv_score(combo: dict, fold_sets, space: SearchSpace):
 def random_search(x, y, space: SearchSpace, plan: ResamplePlan) -> SearchResult:
     """Uniformly sample configurations and rank them by mean CV accuracy.
 
-    Each fold is resampled once, since its training rows and plan seed
-    are the same for every draw, and repeated draws reuse the cached
-    score.  The winner is the highest mean accuracy; exact ties fall to
-    fewer trees, then lower depth, then first appearance.
+    Each draw takes one value from each of the space's grids, one per
+    forest setting, in the forest's field order.  Each fold is resampled
+    once, since its training rows and plan seed are the same for every
+    draw, and repeated draws reuse the cached score.  The winner is the
+    highest mean accuracy; exact ties fall to fewer trees, then lower
+    depth, then the first trial.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -133,28 +128,20 @@ def random_search(x, y, space: SearchSpace, plan: ResamplePlan) -> SearchResult:
         fit_rows = apply_plan(x[train_idx], y[train_idx], fold_plan)
         fold_sets.append((*fit_rows, x[val_idx], y[val_idx]))
     rng = np.random.default_rng(derive_seed(space.seed, "search"))
+    grids = [(name, getattr(space, name)) for name in _GRIDS]
     cache: dict = {}
     trials = []
-    best_combo = None
-    best_key = None
     for _ in range(space.n_iterations):
-        combo = _draw_params(rng, space)
+        combo = {name: grid[int(rng.integers(len(grid)))] for name, grid in grids}
         cache_key = tuple(sorted(combo.items()))
-        if cache_key in cache:
-            accuracies = cache[cache_key]
-        else:
-            accuracies = _cv_score(combo, fold_sets, space)
-            cache[cache_key] = accuracies
-        mean_acc = float(np.mean(accuracies))
-        trials.append(
-            {"params": dict(combo), "fold_accuracies": list(accuracies),
-             "mean_accuracy": mean_acc}
-        )
-        key = (-mean_acc, combo["n_estimators"], combo["max_depth"])
-        if best_key is None or key < best_key:
-            best_key = key
-            best_combo = combo
-    best = RfParams(seed=derive_seed(space.seed, "best"), **best_combo)
+        if cache_key not in cache:
+            cache[cache_key] = _cv_score(combo, fold_sets, space)
+        accuracies = cache[cache_key]
+        trials.append({"params": combo, "fold_accuracies": list(accuracies),
+                       "mean_accuracy": float(np.mean(accuracies))})
+    winner = min(trials, key=lambda t: (-t["mean_accuracy"], t["params"]["n_estimators"],
+                                        t["params"]["max_depth"]))
+    best = RfParams(seed=derive_seed(space.seed, "best"), **winner["params"])
     return SearchResult(best=best, trials=tuple(trials))
 
 

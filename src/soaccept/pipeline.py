@@ -44,6 +44,7 @@ from .forest import (
 from .ingest import (
     AnswerEntry,
     DecodeError,
+    ParseError,
     PostRow,
     QARecord,
     UserRow,
@@ -84,19 +85,22 @@ def _make_dir(path: Path, what: str) -> None:
 
 
 def _read_dump(path: str, decode) -> list:
-    """Every row of the dump at `path`, decoded; a row that does not
-    decode is named by the file, its ordinal and its Id if that parses."""
+    """Every row of the dump at `path`, decoded; XML that does not parse is
+    named by the file, and a row that does not decode by the file, its
+    ordinal and its Id if that parses."""
     rows = []
     with open(path, "rb") as fh:
-        for attrs in stream_rows(fh):
-            try:
+        try:
+            for attrs in stream_rows(fh):
                 rows.append(decode(attrs))
-            except DecodeError as exc:
-                try:
-                    where = f" (Id {int(attrs['Id'])})"
-                except (KeyError, ValueError):
-                    where = ""
-                raise DataError(f"{path}: row {len(rows) + 1}{where}: {exc}") from exc
+        except ParseError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        except DecodeError as exc:
+            try:
+                where = f" (Id {int(attrs['Id'])})"
+            except (KeyError, ValueError):
+                where = ""
+            raise DataError(f"{path}: row {len(rows) + 1}{where}: {exc}") from exc
     return rows
 
 

@@ -718,6 +718,23 @@ def test_integer_beyond_int64_exits_3(tmp_path, capsys, dump, row_id, attribute,
     )
 
 
+@pytest.mark.parametrize(
+    "dump, detail",
+    [
+        ("Users.xml", "line 34, column 2 (error at byte 2986, last complete row at byte 2983)"),
+        ("Posts.xml", "line 11, column 2 (error at byte 2973, last complete row at byte 2970)"),
+    ],
+    ids=["users", "posts"],
+)
+def test_malformed_dump_names_its_file(tmp_path, capsys, dump, detail):
+    # the fixture dump cut to 3000 bytes, inside a row
+    bad = tmp_path / dump
+    bad.write_bytes((FIXTURES / dump).read_bytes()[:3000])
+    assert _run_on(tmp_path, "ingest", bad) == 3
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == f"error: {bad}: malformed dump XML: unclosed token: {detail}"
+
+
 def test_signup_before_year_1000_reaches_features(tmp_path, capsys):
     bad = tmp_path / "Users.xml"
     text = (FIXTURES / "Users.xml").read_text("utf-8")

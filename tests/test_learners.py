@@ -142,6 +142,28 @@ def test_search_is_deterministic():
     b = random_search(x, y, TINY_SPACE, ResamplePlan())
     assert a.best == b.best
     assert a.trials == b.trials
+    # two values in each of the six grids: the draws depend only on the
+    # seed and the grids, one value per grid in the forest's field order
+    space = SearchSpace(n_estimators=(3, 5), max_depth=(2, 4), min_samples_split=(2, 4),
+                        min_samples_leaf=(1, 2), max_features=("sqrt", "all"),
+                        bootstrap=(True, False), n_iterations=6, cv_folds=2, seed=0)
+    drawn = [t["params"] for t in random_search(x, y, space, ResamplePlan()).trials]
+    settings = [f.name for f in dataclasses.fields(RfParams) if f.name != "seed"]
+    assert [list(params) for params in drawn] == [settings] * 6
+    assert drawn == [
+        {"n_estimators": 3, "max_depth": 2, "min_samples_split": 4, "min_samples_leaf": 2,
+         "max_features": "sqrt", "bootstrap": True},
+        {"n_estimators": 5, "max_depth": 4, "min_samples_split": 4, "min_samples_leaf": 2,
+         "max_features": "all", "bootstrap": False},
+        {"n_estimators": 5, "max_depth": 2, "min_samples_split": 2, "min_samples_leaf": 1,
+         "max_features": "all", "bootstrap": False},
+        {"n_estimators": 3, "max_depth": 2, "min_samples_split": 2, "min_samples_leaf": 2,
+         "max_features": "all", "bootstrap": False},
+        {"n_estimators": 5, "max_depth": 4, "min_samples_split": 4, "min_samples_leaf": 2,
+         "max_features": "sqrt", "bootstrap": True},
+        {"n_estimators": 5, "max_depth": 4, "min_samples_split": 2, "min_samples_leaf": 2,
+         "max_features": "all", "bootstrap": False},
+    ]
 
 
 def test_ties_prefer_fewer_then_shallower_trees():

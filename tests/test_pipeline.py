@@ -241,14 +241,15 @@ def test_every_json_file_carries_the_schema_version(run_dir):
         assert {json.loads(line)["v"] for line in fh} == {1}
 
 
-# sha256 of what ingest and features write from the bundled fixture;
-# these files use no BLAS, so they are the same on every machine
+# sha256 of what ingest, features and select write from the bundled
+# fixture; these files use no BLAS, so they are the same on every machine
 FIXTURE_DIGESTS = {
     "dataset.jsonl": "d5867524328340d7cab50c24c7eaf90d5cd1823b7dcdac18910407ee1e2c9676",
     "ingest_report.json": "c788da8b0776c2dac4f606460b1fce834769b2d257d620787ddb8b651e3fe549",
     "features.csv": "ff5ed4a4e8d6037219164d464e343e9b21f4e735950c38525308ff141a0601b0",
     "tfidf.json": "e43acb890b4e710e6e373db6aeb2421e299c5cc7e02d51f3422b32a6e79929c8",
     "feature_stats.json": "27a057c4670d3412f72eceda4ac5e2317529b740fa6d00bdbfb212c839ba59ba",
+    "selection.json": "276909cef0194f50e594ad75df215a5fe57fd9b7d83d2a06658ee13f65c1e3f6",
 }
 
 
@@ -256,6 +257,7 @@ def test_ingest_and_features_artifacts_keep_their_digests(tmp_path):
     cfg = make_config(tmp_path / "wd")
     cmd_ingest(cfg)
     cmd_features(cfg)
+    cmd_select(cfg)
     digests = {name: hashlib.sha256((tmp_path / "wd" / name).read_bytes()).hexdigest()
                for name in FIXTURE_DIGESTS}
     assert digests == FIXTURE_DIGESTS
