@@ -153,19 +153,6 @@ def _cosine(q: dict, norm_q: float, a: dict) -> float:
     return dot / (norm_q * norm_a)
 
 
-def cosine_similarity(q: dict[int, float], a: dict[int, float]) -> float:
-    """Cosine of two sparse vectors (index -> weight); 0.0 when either
-    has zero norm."""
-    return _cosine(q, _norm(q), a)
-
-
-def vector_concordance_similarity(question_tokens, answer_tokens) -> float:
-    """Cosine of raw word-count vectors over the pair's union vocabulary;
-    sorted words run in the order of indices into that vocabulary."""
-    q_counts = Counter(question_tokens)
-    return _cosine(q_counts, _norm(q_counts), Counter(answer_tokens))
-
-
 def load_polarity_lexicon() -> dict[str, float]:
     text = resources.files("soaccept.data").joinpath("polarity_lexicon.tsv").read_text("utf-8")
     lexicon = {}

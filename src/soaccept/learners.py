@@ -5,7 +5,8 @@ permutation.  The search draws forest configurations uniformly, one
 value from each forest setting's grid, and scores each with stratified
 k-fold cross-validation, rebalancing inside every training fold so no
 synthetic point ever leaks into validation.  Score ties prefer fewer
-trees, then shallower ones, then the earlier draw.
+trees, then shallower ones, then the earlier draw.  The search returns
+the winning forest settings and the document that search.json holds.
 """
 
 from __future__ import annotations
@@ -74,12 +75,6 @@ class SearchSpace:
             raise DataError("cv_folds must be >= 2")
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    best: RfParams
-    trials: tuple  # one dict per iteration, in sampling order
-
-
 def stratified_kfold(y, n_folds: int, seed: int):
     """Validation-fold index arrays with per-class round-robin dealing."""
     y = np.asarray(y)
@@ -107,8 +102,11 @@ def _cv_score(combo: dict, fold_sets, space: SearchSpace):
     return accuracies
 
 
-def random_search(x, y, space: SearchSpace, plan: ResamplePlan) -> SearchResult:
-    """Uniformly sample configurations and rank them by mean CV accuracy.
+def random_search(x, y, space: SearchSpace, plan: ResamplePlan):
+    """Uniformly sample configurations and rank them by mean CV accuracy:
+    the winner's `RfParams`, and search.json's document, the winner's
+    settings as ``best`` and one dict per draw, in draw order, as
+    ``trials``.
 
     Each draw takes one value from each of the space's grids, one per
     forest setting, in the forest's field order.  Each fold is resampled
@@ -142,7 +140,7 @@ def random_search(x, y, space: SearchSpace, plan: ResamplePlan) -> SearchResult:
     winner = min(trials, key=lambda t: (-t["mean_accuracy"], t["params"]["n_estimators"],
                                         t["params"]["max_depth"]))
     best = RfParams(seed=derive_seed(space.seed, "best"), **winner["params"])
-    return SearchResult(best=best, trials=tuple(trials))
+    return best, {"best": winner["params"], "trials": trials}
 
 
 def permutation_importance(predict_proba, x, y, seed: int, n_rounds: int):

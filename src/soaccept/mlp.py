@@ -105,13 +105,6 @@ def _bce(z, y, e) -> float:
     return float(np.add.reduce(loss, axis=None) / loss.size)
 
 
-def bce_loss(z_out, y) -> float:
-    """Mean binary cross-entropy from output pre-activations."""
-    z = np.asarray(z_out, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    return _bce(z, y, _exp_neg_abs(z))
-
-
 def _forward(weights, biases, x):
     """Activations per layer plus the output pre-activation."""
     activations = [x]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -245,11 +244,9 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
         raise DataError(f"cannot split {len(y)} rows: {exc}") from exc
     x_train, y_train = x[train_idx], y[train_idx]
 
-    search_result = None
-    params = cfg.forest
+    params, search = cfg.forest, None
     if cfg.search is not None:
-        search_result = random_search(x_train, y_train, cfg.search, cfg.resample)
-        params = search_result.best
+        params, search = random_search(x_train, y_train, cfg.search, cfg.resample)
 
     x_res, y_res = apply_plan(x_train, y_train, cfg.resample)
     forest, mlp = _fit_models(x_res, y_res, params, cfg.mlp, cfg.threads)
@@ -274,15 +271,12 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
             "test": test_idx.tolist(),
         }),
     }
-    if search_result is None:
+    if search is None:
         # a search.json left by an earlier, searching train would describe
         # another forest than the one beside it
         artifact(cfg, "models/{}/search.json").unlink(missing_ok=True)
     else:
-        payloads["models/{}/search.json"] = (None, {
-            "best": {k: v for k, v in asdict(params).items() if k != "seed"},
-            "trials": search_result.trials,
-        })
+        payloads["models/{}/search.json"] = (None, search)
     for label, (kind, payload) in payloads.items():
         outputs.append(artifact(cfg, label))
         write_json(outputs[-1], payload, kind)
@@ -293,7 +287,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
         "resampled_rows": int(len(y_res)),
         "oob_error": forest.oob_error,
         "mlp_final_loss": mlp.loss_history[-1] if mlp.loss_history else None,
-        "searched": search_result is not None,
+        "searched": search is not None,
     }
 
 

@@ -4,13 +4,13 @@ Information gain of a feature against the binary label is estimated with
 the Ross (2014) nearest-neighbor estimator for discrete-continuous
 mutual information, reported in bits.  Features are then pruned in two
 passes: highly correlated pairs lose their lower-IG member, and whatever
-remains must clear an IG floor.
+remains must clear an IG floor.  `select_features` returns the document
+that selection.json holds: the thresholds, the statistics and the outcome.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +22,9 @@ from .resample import standardize
 _JITTER_SEED = 0x5EED
 
 
-@dataclass
-class CorrelationMatrix:
-    names: tuple[str, ...]
-    r: np.ndarray  # symmetric, diag 1
-    zero_variance: tuple[str, ...] = ()
-
-
-@dataclass
-class SelectionResult:
-    retained: list[str]
-    dropped: list[tuple[str, str]]  # (feature, reason)
-
-
-def pearson_matrix(x: np.ndarray, names: tuple[str, ...]) -> CorrelationMatrix:
-    """Pairwise sample Pearson r; a zero-variance column gets r = 0."""
+def pearson_matrix(x: np.ndarray):
+    """Pairwise sample Pearson r, symmetric with diagonal 1, and the mask
+    of zero-variance columns, each of which gets r = 0."""
     if x.shape[0] < 2:
         raise DataError("pearson_matrix needs at least 2 rows")
     z, scaler = standardize(x)
@@ -44,12 +32,8 @@ def pearson_matrix(x: np.ndarray, names: tuple[str, ...]) -> CorrelationMatrix:
     # order of whichever BLAS kernel the machine picks
     zt = np.ascontiguousarray(z.T)
     r = np.array([np.add.reduce(row * zt, axis=1) for row in zt]) / x.shape[0]
-    flat = scaler.sd == 0.0
     np.fill_diagonal(r, 1.0)
-    r = np.clip(r, -1.0, 1.0)
-    return CorrelationMatrix(
-        names=tuple(names), r=r, zero_variance=tuple(np.asarray(names)[flat])
-    )
+    return np.clip(r, -1.0, 1.0), scaler.sd == 0.0
 
 
 # Cephes `psi` asymptotic-series coefficients, highest order first
@@ -193,20 +177,15 @@ def mutual_information(x: np.ndarray, y: np.ndarray, k: int) -> float:
     return max(0.0, nats / math.log(2))
 
 
-def info_gain_table(
-    x: np.ndarray, y: np.ndarray, names: tuple[str, ...], k: int
-) -> dict[str, float]:
-    return {name: mutual_information(x[:, i], y, k=k) for i, name in enumerate(names)}
-
-
 def select_from_stats(
     names: tuple[str, ...],
     corr: np.ndarray,
     ig: dict[str, float],
     r_threshold: float,
     ig_threshold: float,
-) -> SelectionResult:
-    """Apply the two pruning rules to precomputed statistics.
+):
+    """Apply the two pruning rules to precomputed statistics: the retained
+    names in `names` order, and the dropped ones as (feature, reason).
 
     Pairs with |r| >= r_threshold are taken strongest first, ties by
     name, and the member with the smaller IG is dropped (equal IG drops
@@ -240,9 +219,7 @@ def select_from_stats(
             retained.discard(name)
             dropped.append((name, "low-ig"))
 
-    return SelectionResult(
-        retained=[n for n in names if n in retained], dropped=dropped
-    )
+    return [n for n in names if n in retained], dropped
 
 
 def select_features(
@@ -254,17 +231,17 @@ def select_features(
     k: int,
 ) -> dict:
     """The selection.json payload: thresholds, statistics and outcome."""
-    corr = pearson_matrix(x, names)
-    ig = info_gain_table(x, y, names, k)
-    result = select_from_stats(names, corr.r, ig, r_threshold, ig_threshold)
+    r, flat = pearson_matrix(x)
+    ig = {name: mutual_information(x[:, i], y, k=k) for i, name in enumerate(names)}
+    retained, dropped = select_from_stats(names, r, ig, r_threshold, ig_threshold)
     return {
         "thresholds": {"correlation": r_threshold, "info_gain": ig_threshold},
         "info_gain_bits": ig,
         "correlation": {
-            "names": list(corr.names),
-            "matrix": [[float(v) for v in row] for row in corr.r],
-            "zero_variance": list(corr.zero_variance),
+            "names": list(names),
+            "matrix": r.tolist(),
+            "zero_variance": [name for name, f in zip(names, flat) if f],
         },
-        "retained": result.retained,
-        "dropped": [{"feature": f, "reason": r} for f, r in result.dropped],
+        "retained": retained,
+        "dropped": [{"feature": f, "reason": why} for f, why in dropped],
     }

@@ -1,10 +1,26 @@
-"""Shared synthetic datasets and finite-difference helpers for tests."""
+"""Shared synthetic datasets, finite-difference and similarity helpers for tests."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
+from soaccept.features import _cosine, _norm
 from soaccept.mlp import loss_and_gradients
+
+
+def cosine_similarity(q, a) -> float:
+    """Cosine of two sparse vectors (index -> weight), as feature
+    extraction computes it; 0.0 when either has zero norm."""
+    return _cosine(q, _norm(q), a)
+
+
+def vector_concordance_similarity(question_tokens, answer_tokens) -> float:
+    """Cosine of raw word-count vectors over the pair's union vocabulary,
+    as feature extraction computes TextualSimilarity."""
+    q_counts = Counter(question_tokens)
+    return _cosine(q_counts, _norm(q_counts), Counter(answer_tokens))
 
 
 def make_planted(n, seed, n_noise=8, flip=0.05):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from soaccept.features import FEATURE_NAMES, cosine_similarity, fit_tfidf, tfidf_vector
+from soaccept.features import FEATURE_NAMES, fit_tfidf, tfidf_vector
 from soaccept.forest import RfParams, fit_forest, forest_predict_proba
 from soaccept.metrics import accuracy, confusion, mcc, precision, recall, roc
 from soaccept.mlp import MlpConfig, init_parameters, loss_and_gradients
@@ -23,7 +23,7 @@ from soaccept.porter import porter_stem
 from soaccept.resample import ResamplePlan, adasyn, adasyn_allocation, apply_plan
 from soaccept.selection import mutual_information, select_from_stats
 
-from _synth import make_planted, max_relative_error, numeric_gradients
+from _synth import cosine_similarity, make_planted, max_relative_error, numeric_gradients
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -237,10 +237,11 @@ def test_criterion_06_selection_replay_drops_the_two_reported_features():
         ("SignUpDateTimeLag", "Reputation", 0.76),
     ):
         corr[idx[a], idx[b]] = corr[idx[b], idx[a]] = r
-    result = select_from_stats(names, corr, PUBLISHED_IG, r_threshold=0.7, ig_threshold=0.4)
-    assert sorted(f for f, _ in result.dropped) == ["NumberOfWords", "SignUpDateTimeLag"]
-    assert len(result.retained) == 14
-    assert set(result.retained) == set(names) - {"NumberOfWords", "SignUpDateTimeLag"}
+    retained, dropped = select_from_stats(names, corr, PUBLISHED_IG, r_threshold=0.7,
+                                          ig_threshold=0.4)
+    assert sorted(f for f, _ in dropped) == ["NumberOfWords", "SignUpDateTimeLag"]
+    assert len(retained) == 14
+    assert set(retained) == set(names) - {"NumberOfWords", "SignUpDateTimeLag"}
 
 
 # -- 7: network gradients vs central finite differences ---------------------

@@ -365,6 +365,8 @@ _FOREIGN = {
     "mlp-config-rate": ("models/smote/model.mlp.json",
                         _edit_doc(lambda doc: doc["config"].update(learning_rate=True)),
                         "rank --model mlp", "train"),
+    # a vocabulary with one document frequency fewer than terms
+    "tfidf-df": ("tfidf.json", _edit_doc(lambda doc: doc["df"].pop()), "rank", "features"),
     # a version stamp that equals 1 but is not the integer
     "rf-version-bool": ("models/smote/model.rf.json", _edit_json(schema_version=True),
                         "evaluate", "train"),
@@ -665,8 +667,10 @@ def _edited_dump(tmp_path, dump, row_id, attribute, value):
     lines = (FIXTURES / dump).read_text("utf-8").splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith(f'  <row Id="{row_id}" '))
     head, sep, tail = lines[i].partition(f' {attribute}="')
-    assert sep, (dump, row_id, attribute)
-    lines[i] = head + sep + value + tail[tail.index('"'):]
+    if sep:
+        lines[i] = head + sep + value + tail[tail.index('"'):]
+    else:  # an attribute that the row lacks is added last
+        lines[i] = lines[i].replace(" />", f' {attribute}="{value}" />')
     bad = tmp_path / dump
     bad.write_text("".join(lines), encoding="utf-8")
     return bad
@@ -679,22 +683,30 @@ def _run_on(tmp_path, command, bad):
                    "--out", str(tmp_path / "wd"))
 
 
+_BAD_DATE = "2014-13-45T00:00:00.000"
+
+
 @pytest.mark.parametrize(
-    "dump, attribute, value, where",
+    "dump, row_id, attribute, value, where, detail",
     [
-        ("Posts.xml", "Score", "x1", "row 3 (Id 3)"),
-        ("Users.xml", "Reputation", "x1", "row 3 (Id 3)"),
-        ("Posts.xml", "Id", "x1", "row 3"),
+        ("Posts.xml", 3, "Score", "x1", "row 3 (Id 3)", "not an integer: 'x1'"),
+        ("Users.xml", 3, "Reputation", "x1", "row 3 (Id 3)", "not an integer: 'x1'"),
+        ("Posts.xml", 3, "Id", "x1", "row 3", "not an integer: 'x1'"),
+        ("Posts.xml", 3, "CreationDate", _BAD_DATE, "row 3 (Id 3)",
+         f"not a timestamp: {_BAD_DATE!r}"),
+        ("Posts.xml", 3, "Tags", "&lt;java&gt;", "row 3 (Id 3)", "present on answer"),
+        ("Posts.xml", 1, "ParentId", "4", "row 1 (Id 1)", "present on question"),
+        ("Posts.xml", 3, "CommentCount", "-1", "row 3 (Id 3)", "negative"),
     ],
-    ids=["posts-score", "users-reputation", "posts-id"],
+    ids=["posts-score", "users-reputation", "posts-id", "posts-creation-date",
+         "answer-tags", "question-parent-id", "negative-comment-count"],
 )
-def test_undecodable_row_names_file_row_and_id(tmp_path, capsys, dump, attribute, value, where):
-    # the third row of each fixture dump, whose Id is 3, gets a bad value
-    bad = _edited_dump(tmp_path, dump, 3, attribute, value)
+def test_undecodable_row_names_file_row_and_id(tmp_path, capsys, dump, row_id, attribute,
+                                               value, where, detail):
+    # row 1 of the fixture's posts is a question, row 3 an answer to it
+    bad = _edited_dump(tmp_path, dump, row_id, attribute, value)
     assert _run_on(tmp_path, "ingest", bad) == 3
-    assert capsys.readouterr().err == (
-        f"error: {bad}: {where}: bad attribute {attribute!r}: not an integer: {value!r}\n"
-    )
+    assert capsys.readouterr().err == f"error: {bad}: {where}: bad attribute {attribute!r}: {detail}\n"
 
 
 _WIDE = "9" * 400
@@ -799,14 +811,37 @@ _BAD_TS = "2015-13-45T00:00:00.000"
         (_edited(question={"tags": "java"}), "question.tags must be a list of strings"),
         (_edited(question={"creation_ts": 10**400}, answer={"user_creation_ts": 0}),
          "question.creation_ts: outside the signed 64-bit range"),
+        (_edited(question={"creation_ts": 1.5}),
+         "question.creation_ts must be an ISO-8601 string or epoch milliseconds"),
+        (_edited(question={"creation_ts": True}),
+         "question.creation_ts must be an ISO-8601 string or epoch milliseconds"),
+        ({"question": rank_request()["question"], "answers": {"0": rank_request()["answers"][0]}},
+         'rank input needs an "answers" list'),
     ],
     ids=["question-ts", "answer-ts", "top-level-array", "tags-int", "tags-string",
-         "question-ts-beyond-int64"],
+         "question-ts-beyond-int64", "question-ts-float", "question-ts-bool", "answers-object"],
 )
 def test_rank_malformed_request_exits_3(cli_dir, tmp_path, capsys, payload, location):
     path = write_request(tmp_path, payload)
     assert run_cli("rank", *common(cli_dir), "--input", path) == 3
     assert f"error: {location}" in capsys.readouterr().err
+
+
+def test_rank_input_missing_exits_3(cli_dir, tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert run_cli("rank", *common(cli_dir), "--input", str(path)) == 3
+    assert capsys.readouterr().err == (
+        f"error: cannot read rank input: [Errno 2] No such file or directory: '{path}'\n"
+    )
+
+
+def test_split_leaving_one_side_empty_exits_3(cli_dir, tmp_path, capsys):
+    wd = tmp_path / "wd"
+    shutil.copytree(cli_dir, wd)
+    assert run_cli("train", *common(wd), "--set", "split.train_fraction=0.001") == 3
+    assert capsys.readouterr().err == (
+        "error: cannot split 785 rows: split leaves one side empty; adjust train_fraction\n"
+    )
 
 
 def test_rank_input_not_utf8_exits_3(cli_dir, tmp_path, capsys):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _synth import cosine_similarity, vector_concordance_similarity
 from soaccept.errors import DataError, StageError
 from soaccept.features import (
     FEATURE_NAMES,
     analyze_records,
-    cosine_similarity,
     extract_identifiers,
     build_pair_corpus,
     extract_matrix,
@@ -23,7 +23,6 @@ from soaccept.features import (
     text_polarity,
     tfidf_vector,
     time_features,
-    vector_concordance_similarity,
     write_features_csv,
 )
 from soaccept.ingest import AnswerEntry, PostRow, QARecord, UserRow, parse_timestamp

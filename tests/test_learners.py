@@ -110,25 +110,25 @@ TINY_SPACE = SearchSpace(
 
 def test_random_search_returns_member_of_space():
     x, y = make_planted(120, seed=1, n_noise=1)
-    result = random_search(x, y, TINY_SPACE, ResamplePlan())
-    assert result.best.n_estimators in (5, 10)
-    assert result.best.max_depth == 3
-    assert len(result.trials) == 5
-    for trial in result.trials:
+    best, search = random_search(x, y, TINY_SPACE, ResamplePlan())
+    assert best.n_estimators in (5, 10)
+    assert best.max_depth == 3
+    assert len(search["trials"]) == 5
+    for trial in search["trials"]:
         assert len(trial["fold_accuracies"]) == 3
-    best_mean = max(t["mean_accuracy"] for t in result.trials)
+    best_mean = max(t["mean_accuracy"] for t in search["trials"])
     assert any(
         t["mean_accuracy"] == best_mean
-        and t["params"]["n_estimators"] == result.best.n_estimators
-        for t in result.trials
+        and t["params"]["n_estimators"] == best.n_estimators
+        for t in search["trials"]
     )
 
 
 def test_repeated_draws_reuse_scores():
     x, y = make_planted(90, seed=2, n_noise=1)
-    result = random_search(x, y, TINY_SPACE, ResamplePlan())
+    _, search = random_search(x, y, TINY_SPACE, ResamplePlan())
     by_params: dict = {}
-    for trial in result.trials:
+    for trial in search["trials"]:
         key = tuple(sorted(trial["params"].items()))
         if key in by_params:
             assert trial["fold_accuracies"] == by_params[key]
@@ -138,16 +138,16 @@ def test_repeated_draws_reuse_scores():
 
 def test_search_is_deterministic():
     x, y = make_planted(90, seed=3, n_noise=1)
-    a = random_search(x, y, TINY_SPACE, ResamplePlan())
-    b = random_search(x, y, TINY_SPACE, ResamplePlan())
-    assert a.best == b.best
-    assert a.trials == b.trials
+    best_a, search_a = random_search(x, y, TINY_SPACE, ResamplePlan())
+    best_b, search_b = random_search(x, y, TINY_SPACE, ResamplePlan())
+    assert best_a == best_b
+    assert search_a["trials"] == search_b["trials"]
     # two values in each of the six grids: the draws depend only on the
     # seed and the grids, one value per grid in the forest's field order
     space = SearchSpace(n_estimators=(3, 5), max_depth=(2, 4), min_samples_split=(2, 4),
                         min_samples_leaf=(1, 2), max_features=("sqrt", "all"),
                         bootstrap=(True, False), n_iterations=6, cv_folds=2, seed=0)
-    drawn = [t["params"] for t in random_search(x, y, space, ResamplePlan()).trials]
+    drawn = [t["params"] for t in random_search(x, y, space, ResamplePlan())[1]["trials"]]
     settings = [f.name for f in dataclasses.fields(RfParams) if f.name != "seed"]
     assert [list(params) for params in drawn] == [settings] * 6
     assert drawn == [
@@ -180,14 +180,14 @@ def test_ties_prefer_fewer_then_shallower_trees():
         cv_folds=3,
         seed=1,
     )
-    result = random_search(x, y, space, ResamplePlan())
+    best, search = random_search(x, y, space, ResamplePlan())
     sampled = {(t["params"]["n_estimators"], t["params"]["max_depth"])
-               for t in result.trials}
+               for t in search["trials"]}
     assert sampled == {(5, 2), (5, 4), (10, 2), (10, 4)}
-    scores = {t["mean_accuracy"] for t in result.trials}
+    scores = {t["mean_accuracy"] for t in search["trials"]}
     assert len(scores) == 1
-    assert result.best.n_estimators == 5
-    assert result.best.max_depth == 2
+    assert best.n_estimators == 5
+    assert best.max_depth == 2
 
 
 def test_search_resamples_inside_folds():
@@ -195,8 +195,8 @@ def test_search_resamples_inside_folds():
     x, y = make_planted(80, seed=4, n_noise=1)
     y[: int(0.75 * 80)] = 0
     plan = ResamplePlan(method="smote", k=3, target_ratio=1.0, seed=9)
-    result = random_search(x, y, TINY_SPACE, plan)
-    assert result.best.n_estimators in (5, 10)
+    best, _ = random_search(x, y, TINY_SPACE, plan)
+    assert best.n_estimators in (5, 10)
 
 
 def test_search_resamples_each_fold_once(monkeypatch):
@@ -210,8 +210,8 @@ def test_search_resamples_each_fold_once(monkeypatch):
 
     monkeypatch.setattr(learners, "apply_plan", counting)
     x, y = make_planted(90, seed=2, n_noise=1)
-    result = random_search(x, y, TINY_SPACE, ResamplePlan())
-    assert len({tuple(sorted(t["params"].items())) for t in result.trials}) > 1
+    _, search = random_search(x, y, TINY_SPACE, ResamplePlan())
+    assert len({tuple(sorted(t["params"].items())) for t in search["trials"]}) > 1
     assert len(seeds) == len(set(seeds)) == TINY_SPACE.cv_folds
 
 

@@ -14,7 +14,6 @@ from soaccept.mlp import (
     MlpModel,
     _forward,
     _sigmoid,
-    bce_loss,
     fit_mlp,
     init_parameters,
     load_mlp,
@@ -94,6 +93,12 @@ def test_sigmoid_passes_nan_through():
     got = _sigmoid(z)
     assert np.array_equal(np.isnan(got), np.isnan(z))
     assert np.array_equal(got[~np.isnan(z)], _masked_sigmoid(z[~np.isnan(z)]))
+
+
+def bce_loss(z_out, y) -> float:
+    """Mean binary cross-entropy from output pre-activations, as training computes it."""
+    z = np.asarray(z_out, dtype=np.float64).ravel()
+    return mlp._bce(z, np.asarray(y, dtype=np.float64).ravel(), mlp._exp_neg_abs(z))
 
 
 def test_bce_loss_matches_direct_formula():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soaccept import codec, features, manifest, pipeline
+from _synth import cosine_similarity, vector_concordance_similarity
+from soaccept import codec, features, manifest, pipeline, settings
 from soaccept.ingest import IngestFilter, parse_timestamp, read_dataset
 from soaccept.errors import ConfigError, DataError, StageError
 from soaccept.manifest import artifact
@@ -138,6 +140,32 @@ def test_search_space_built_when_enabled():
     assert space.cv_folds == 4
 
 
+def test_readme_defaults_table_matches_the_code():
+    # each row of README's Defaults table names its keys in backticks; a
+    # `first` &hellip; `last` row names a run of keys in DEFAULT_CONFIG's order
+    flat = {f"{section}.{key}" if isinstance(value, dict) else section: inner
+            for section, value in settings.DEFAULT_CONFIG.items()
+            for key, inner in (value.items() if isinstance(value, dict) else [(None, value)])}
+    order = list(flat)
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    table = text.split("\nDefaults:\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in table.strip().splitlines()[2:]:  # after the header and its rule
+        keys, default = line.strip("| ").split(" | ")[:2]
+        names = re.findall(r"`([^`]+)`", keys)
+        if "&hellip;" in keys:
+            names = order[order.index(names[0]):order.index(names[1]) + 1]
+        for name in names:
+            assert name not in documented, name
+            documented[name] = default
+    assert sorted(documented) == sorted(flat)
+    for name, default in documented.items():
+        if default == "grids":
+            assert name.startswith("search.") and isinstance(flat[name], list), name
+        else:
+            assert json.loads(default.strip("`")) == flat[name], name
+
+
 # stage config digests: a change to one makes every manifest written before
 # it stale, so it must be deliberate
 _DIGESTS = {
@@ -261,6 +289,19 @@ def test_ingest_and_features_artifacts_keep_their_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / "wd" / name).read_bytes()).hexdigest()
                for name in FIXTURE_DIGESTS}
     assert digests == FIXTURE_DIGESTS
+
+
+# sha256 of the files that train writes from the bundled fixture and that
+# no BLAS kernel changes (`_KERNEL_FREE` below)
+TRAIN_DIGESTS = {
+    "models/smote/model.rf.json": "d8e2c3775b51bb53d6c62b1c2aca792b1d6921210ad5877fe5ba890251ffab22",
+    "models/smote/split.json": "3f4b5ab4e46ac159f997b5c0ae94d7a2c289f7071e40089adc167f79e548be8f",
+    "models/smote/medians.json": "2835b45b52dc51f6db424d9071aa3a4d9c9bd7a84e325db2f67773531839b5e6",
+}
+
+
+def test_train_artifacts_keep_their_digests(run_dir):
+    assert {rel: _sha256(run_dir / rel) for rel in TRAIN_DIGESTS} == TRAIN_DIGESTS
 
 
 def test_rerunning_one_stage_is_byte_stable(run_dir, tmp_path):
@@ -581,11 +622,11 @@ def test_extracted_similarities_match_the_public_pairwise_functions(run_dir):
             if entry.post.id not in row_of:  # dropped: answer predates its question
                 continue
             row = matrix.x[row_of[entry.post.id]]
-            assert row[col["TextualSimilarity"]] == features.vector_concordance_similarity(
+            assert row[col["TextualSimilarity"]] == vector_concordance_similarity(
                 rec.question.raw_tokens, at.raw_tokens)
-            assert row[col["TFAnswerCode"]] == features.cosine_similarity(
+            assert row[col["TFAnswerCode"]] == cosine_similarity(
                 q_vec, features.tfidf_vector(model, at.code_ids))
-            assert row[col["TFAnswerText"]] == features.cosine_similarity(
+            assert row[col["TFAnswerText"]] == cosine_similarity(
                 q_vec, features.tfidf_vector(model, at.prose_tokens))
             checked += 1
     assert checked == matrix.x.shape[0]
@@ -683,6 +724,11 @@ def test_search_writes_trials(run_dir, tmp_path):
     assert len(search["trials"]) == 3
     assert search["best"]["n_estimators"] in (5, 10)
     assert all(len(t["fold_accuracies"]) == 2 for t in search["trials"])
+    # the searched forest and its search.json, byte for byte
+    assert _sha256(wd / "models/smote/search.json") == (
+        "0a6e072aba4308899211ba45dfd1f989fd5a617297bf437cbcb50ca35576ca41")
+    assert _sha256(wd / "models/smote/model.rf.json") == (
+        "be77c6201c06f75d92728e748feb3f41de226b5ccd5b6aed398849f8d2b4ecd5")
 
 
 def test_train_without_search_removes_stale_search_report(run_dir, tmp_path):

@@ -10,7 +10,6 @@ from soaccept.features import FEATURE_NAMES
 from soaccept import selection
 from soaccept.selection import (
     _JITTER_SEED,
-    CorrelationMatrix,
     _count_within,
     _kth_gap,
     _psi,
@@ -25,39 +24,39 @@ RNG = np.random.default_rng(7)
 
 def test_pearson_diagonal_and_symmetry():
     x = RNG.normal(size=(50, 4))
-    corr = pearson_matrix(x, ("a", "b", "c", "d"))
-    assert np.allclose(np.diag(corr.r), 1.0)
-    assert np.allclose(corr.r, corr.r.T)
-    assert np.all(np.abs(corr.r) <= 1.0 + 1e-12)
+    r, _ = pearson_matrix(x)
+    assert np.allclose(np.diag(r), 1.0)
+    assert np.allclose(r, r.T)
+    assert np.all(np.abs(r) <= 1.0 + 1e-12)
 
 
 def test_pearson_perfect_anticorrelation():
     col = np.arange(10, dtype=float)
     x = np.column_stack([col, -col])
-    corr = pearson_matrix(x, ("x", "negx"))
-    assert corr.r[0, 1] == pytest.approx(-1.0, abs=1e-12)
+    r, _ = pearson_matrix(x)
+    assert r[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_pearson_hand_worked_value():
     x = np.column_stack([[1.0, 2.0, 3.0], [2.0, 4.0, 6.5]])
-    corr = pearson_matrix(x, ("x", "y"))
+    r, _ = pearson_matrix(x)
     # sum dx*dy = 4.5, sum dx^2 = 2, sum dy^2 = 61/6
     expected = 4.5 / math.sqrt(2 * 61 / 6)
-    assert corr.r[0, 1] == pytest.approx(expected, abs=1e-12)
-    assert corr.r[0, 1] == pytest.approx(0.9979487, abs=1e-7)
+    assert r[0, 1] == pytest.approx(expected, abs=1e-12)
+    assert r[0, 1] == pytest.approx(0.9979487, abs=1e-7)
 
 
 def test_pearson_zero_variance_flagged_as_zero():
     x = np.column_stack([np.ones(20), np.arange(20, dtype=float)])
-    corr = pearson_matrix(x, ("const", "ramp"))
-    assert corr.zero_variance == ("const",)
-    assert corr.r[0, 1] == 0.0
-    assert corr.r[0, 0] == 1.0
+    r, flat = pearson_matrix(x)
+    assert flat.tolist() == [True, False]
+    assert r[0, 1] == 0.0
+    assert r[0, 0] == 1.0
 
 
 def test_pearson_needs_two_rows():
     with pytest.raises(DataError, match="pearson_matrix needs at least 2 rows"):
-        pearson_matrix(np.ones((1, 3)), ("a", "b", "c"))
+        pearson_matrix(np.ones((1, 3)))
 
 
 def test_mi_independent_near_zero():
@@ -249,40 +248,40 @@ def _published_stats():
 
 def test_published_statistics_replay_retains_fourteen():
     ig, corr = _published_stats()
-    result = select_from_stats(FEATURE_NAMES, corr, ig, 0.7, 0.4)
-    assert len(result.retained) == 14
-    assert "NumberOfWords" not in result.retained
-    assert "SignUpDateTimeLag" not in result.retained
-    reasons = dict(result.dropped)
+    retained, dropped = select_from_stats(FEATURE_NAMES, corr, ig, 0.7, 0.4)
+    assert len(retained) == 14
+    assert "NumberOfWords" not in retained
+    assert "SignUpDateTimeLag" not in retained
+    reasons = dict(dropped)
     assert reasons["NumberOfWords"] == "correlated-with:NumberOfSentence"
     assert reasons["SignUpDateTimeLag"] == "correlated-with:Reputation"
-    assert result.retained == [
+    assert retained == [
         n for n in FEATURE_NAMES if n not in ("NumberOfWords", "SignUpDateTimeLag")
     ]
 
 
 def test_selection_identity_when_independent():
     ig = {n: 0.5 for n in ("a", "b", "c")}
-    result = select_from_stats(("a", "b", "c"), np.eye(3), ig, 0.7, 0.4)
-    assert result.retained == ["a", "b", "c"]
-    assert result.dropped == []
+    retained, dropped = select_from_stats(("a", "b", "c"), np.eye(3), ig, 0.7, 0.4)
+    assert retained == ["a", "b", "c"]
+    assert dropped == []
 
 
 def test_selection_low_ig_filter():
     ig = {"a": 0.5, "b": 0.4, "c": 0.39}
-    result = select_from_stats(("a", "b", "c"), np.eye(3), ig, 0.7, 0.4)
+    retained, dropped = select_from_stats(("a", "b", "c"), np.eye(3), ig, 0.7, 0.4)
     # the floor is strict: IG must exceed the threshold
-    assert result.retained == ["a"]
-    assert ("b", "low-ig") in result.dropped
-    assert ("c", "low-ig") in result.dropped
+    assert retained == ["a"]
+    assert ("b", "low-ig") in dropped
+    assert ("c", "low-ig") in dropped
 
 
 def test_selection_equal_ig_drops_later_name():
     corr = np.eye(2)
     corr[0, 1] = corr[1, 0] = 0.9
-    result = select_from_stats(("alpha", "beta"), corr, {"alpha": 0.6, "beta": 0.6}, 0.7, 0.4)
-    assert result.retained == ["alpha"]
-    assert result.dropped == [("beta", "correlated-with:alpha")]
+    retained, dropped = select_from_stats(("alpha", "beta"), corr, {"alpha": 0.6, "beta": 0.6}, 0.7, 0.4)
+    assert retained == ["alpha"]
+    assert dropped == [("beta", "correlated-with:alpha")]
 
 
 def test_selection_iterates_until_clean():
@@ -291,9 +290,9 @@ def test_selection_iterates_until_clean():
     corr[0, 1] = corr[1, 0] = 0.95
     corr[1, 2] = corr[2, 1] = 0.85
     ig = {"a": 0.9, "b": 0.5, "c": 0.8}
-    result = select_from_stats(("a", "b", "c"), corr, ig, 0.7, 0.4)
-    assert result.retained == ["a", "c"]
-    assert result.dropped == [("b", "correlated-with:a")]
+    retained, dropped = select_from_stats(("a", "b", "c"), corr, ig, 0.7, 0.4)
+    assert retained == ["a", "c"]
+    assert dropped == [("b", "correlated-with:a")]
 
 
 def test_selection_set_invariant_under_column_reorder():
@@ -301,9 +300,9 @@ def test_selection_set_invariant_under_column_reorder():
     perm = list(RNG.permutation(16))
     names_p = tuple(FEATURE_NAMES[i] for i in perm)
     corr_p = corr[np.ix_(perm, perm)]
-    base = select_from_stats(FEATURE_NAMES, corr, ig, 0.7, 0.4)
-    shuffled = select_from_stats(names_p, corr_p, ig, 0.7, 0.4)
-    assert set(base.retained) == set(shuffled.retained)
+    base, _ = select_from_stats(FEATURE_NAMES, corr, ig, 0.7, 0.4)
+    shuffled, _ = select_from_stats(names_p, corr_p, ig, 0.7, 0.4)
+    assert set(base) == set(shuffled)
 
 
 def test_select_features_end_to_end_drops_duplicate_column():
@@ -324,11 +323,15 @@ def test_select_features_end_to_end_drops_duplicate_column():
 def test_selection_report_file(monkeypatch):
     ig, corr_m = _published_stats()
     monkeypatch.setattr(selection, "pearson_matrix",
-                        lambda x, names: CorrelationMatrix(names=FEATURE_NAMES, r=corr_m))
-    monkeypatch.setattr(selection, "info_gain_table", lambda x, y, names, k: ig)
-    report = select_features(np.zeros((2, 16)), np.zeros(2), FEATURE_NAMES, 0.7, 0.4, 3)
-    result = select_from_stats(FEATURE_NAMES, corr_m, ig, 0.7, 0.4)
-    assert report["retained"] == result.retained
+                        lambda x: (corr_m, np.zeros(16, dtype=bool)))
+    # the column index is x's one nonzero row, so each column maps to its name's gain
+    monkeypatch.setattr(selection, "mutual_information",
+                        lambda col, y, k: ig[FEATURE_NAMES[int(col[0])]])
+    x = np.zeros((2, 16))
+    x[0] = np.arange(16)
+    report = select_features(x, np.zeros(2), FEATURE_NAMES, 0.7, 0.4, 3)
+    retained, _ = select_from_stats(FEATURE_NAMES, corr_m, ig, 0.7, 0.4)
+    assert report["retained"] == retained
     assert report["thresholds"] == {"correlation": 0.7, "info_gain": 0.4}
     assert report["info_gain_bits"]["Timelag"] == pytest.approx(0.873)
     assert {d["feature"] for d in report["dropped"]} == {"NumberOfWords", "SignUpDateTimeLag"}
@@ -388,6 +391,5 @@ def _tied_stats(draw):
 @given(_tied_stats(), st.sampled_from([0.7, 0.8, 0.95]))
 def test_one_pass_pruning_matches_rescanning(stats, r_threshold):
     names, corr, ig = stats
-    result = select_from_stats(names, corr, ig, r_threshold, 0.4)
-    assert (result.retained, result.dropped) == _rescanning_select(
+    assert select_from_stats(names, corr, ig, r_threshold, 0.4) == _rescanning_select(
         names, corr, ig, r_threshold, 0.4)
