@@ -121,8 +121,6 @@ def main(argv=None) -> int:
             ranking = cmd_rank(cfg, args.input, model_kind=args.model)
             json.dump(ranking, sys.stdout, indent=2, sort_keys=True)
             print()
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, DataError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

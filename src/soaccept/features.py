@@ -19,7 +19,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .ingest import PostRow, QARecord, UserRow
 from .textprep import (
     AnswerParts,
     count_code_lines,
+    data_lines,
     load_stopwords,
     raw_tokens,
     remove_stop_words,
@@ -154,15 +154,8 @@ def _cosine(q: dict, norm_q: float, a: dict) -> float:
 
 
 def load_polarity_lexicon() -> dict[str, float]:
-    text = resources.files("soaccept.data").joinpath("polarity_lexicon.tsv").read_text("utf-8")
-    lexicon = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        word, valence = line.split("\t")
-        lexicon[word] = float(valence)
-    return lexicon
+    pairs = (line.split("\t") for line in data_lines("polarity_lexicon.tsv"))
+    return {word: float(valence) for word, valence in pairs}
 
 
 def text_polarity(tokens: list[str], lexicon: dict[str, float]) -> float:
@@ -182,11 +175,7 @@ def text_polarity(tokens: list[str], lexicon: dict[str, float]) -> float:
 
 
 def load_keywords() -> frozenset[str]:
-    words = set()
-    for name in ("keywords_java.txt", "keywords_js.txt"):
-        text = resources.files("soaccept.data").joinpath(name).read_text("utf-8")
-        words.update(w for w in (line.strip() for line in text.splitlines()) if w)
-    return frozenset(words)
+    return frozenset(data_lines("keywords_java.txt") + data_lines("keywords_js.txt"))
 
 
 def extract_identifiers(code: str, keywords: frozenset[str]) -> list[str]:

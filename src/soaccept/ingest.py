@@ -38,9 +38,8 @@ class ParseError(DataError):
 class DecodeError(DataError):
     """A row attribute is missing or unparseable; names the attribute."""
 
-    def __init__(self, attribute: str, detail: str = ""):
-        msg = f"bad attribute {attribute!r}" + (f": {detail}" if detail else "")
-        super().__init__(msg)
+    def __init__(self, attribute: str, detail: str):
+        super().__init__(f"bad attribute {attribute!r}: {detail}")
         self.attribute = attribute
 
 

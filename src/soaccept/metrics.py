@@ -1,12 +1,11 @@
 """Binary-classification metrics and report emission.
 
 Accepted answers are the positive class throughout.  Rates with a zero
-denominator come back as 0.0.  `report_to_dict` builds one record per
-evaluated model, the metrics.json document, which carries each number
-once together with the defined/undefined flag of each rate; report.md is
-rendered from that record, so its tables mark an undefined rate rather
-than hide it.  All emitted files are byte-deterministic for identical
-inputs.
+denominator come back as 0.0.  `evaluate_model` builds each evaluated
+model's record of metrics.json, which carries each number once together
+with the defined/undefined flag of each rate; report.md is rendered from
+those records, so its tables mark an undefined rate rather than hide it.
+All emitted files are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -137,25 +136,27 @@ def roc(y_true, scores) -> RocCurve:
     return RocCurve(points=tuple(points), auc=area)
 
 
-@dataclass(frozen=True)
-class ModelEval:
-    """Confusion counts and ROC curve of one model under one sampling method."""
-
-    model: str
-    sampler: str
-    cm: ConfusionMatrix
-    roc: RocCurve
-
-
-def evaluate_model(model: str, sampler: str, y_true, scores):
-    """Confusion counts at a 0.5 cut-off, and the ROC curve."""
-    y_pred = (np.asarray(scores, dtype=np.float64) >= 0.5).astype(np.int64)
-    return ModelEval(
-        model=model,
-        sampler=sampler,
-        cm=confusion(y_true, y_pred),
-        roc=roc(y_true, scores),
-    )
+def evaluate_model(model: str, sampler: str, y_true, scores) -> tuple:
+    """One model's metrics.json record under one sampling method, each
+    number computed here once from the test labels and `scores`, cut at
+    0.5, with the flag of each rate whose denominator may be empty; and
+    the `RocCurve` that roc.csv and roc.svg draw."""
+    cm = confusion(y_true, (np.asarray(scores, dtype=np.float64) >= 0.5).astype(np.int64))
+    curve = roc(y_true, scores)
+    record = {
+        "model": model,
+        "sampler": sampler,
+        "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
+        "accuracy": accuracy(cm),
+        "precision": precision(cm),
+        "precision_defined": cm.tp + cm.fp > 0,
+        "recall": recall(cm),
+        "recall_defined": cm.tp + cm.fn > 0,
+        "mcc": mcc(cm),
+        "auc": curve.auc,
+        "n_test_rows": cm.total,
+    }
+    return record, curve
 
 
 _MODEL_COLORS = {"random-forest": "#1f77b4", "mlp": "#ff7f0e"}
@@ -225,10 +226,10 @@ def _report_markdown(doc: dict) -> str:
 
 def _roc_csv(evals) -> str:
     rows = ["model,sampler,fpr,tpr,threshold"]
-    for ev in evals:
-        for fpr, tpr, thr in ev.roc.points:
+    for record, curve in evals:
+        for fpr, tpr, thr in curve.points:
             rows.append(
-                f"{ev.model},{ev.sampler},{format_value(fpr)},"
+                f"{record['model']},{record['sampler']},{format_value(fpr)},"
                 f"{format_value(tpr)},{format_value(thr)}"
             )
     return "\n".join(rows) + "\n"
@@ -276,11 +277,11 @@ def _roc_svg(evals) -> str:
         f'<line x1="{margin}" y1="{margin + plot}" x2="{margin + plot}" y2="{margin}" '
         'stroke="#d62728" stroke-dasharray="6,4"/>'
     )
-    for idx, ev in enumerate(evals):
-        color = _MODEL_COLORS[ev.model]
+    for idx, (record, curve) in enumerate(evals):
+        color = _MODEL_COLORS[record["model"]]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
-            f'points="{_svg_path(ev.roc.points, plot, plot, margin)}"/>'
+            f'points="{_svg_path(curve.points, plot, plot, margin)}"/>'
         )
         ly = margin + 16 + 18 * idx
         parts.append(
@@ -289,48 +290,29 @@ def _roc_svg(evals) -> str:
         )
         parts.append(
             f'<text x="{margin + plot - 160}" y="{ly}">'
-            f"{ev.model} / {ev.sampler} (AUC {ev.roc.auc:.3f})</text>"
+            f"{record['model']} / {record['sampler']} (AUC {record['auc']:.3f})</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def report_to_dict(evals, importance: dict, info_gain_bits: dict, meta: dict) -> dict:
-    """The metrics.json document: one record per `ModelEval` in `evals`,
-    each of its numbers computed here once, and the context report.md
-    shows: the `importance` columns, as `normalized_importance_report`
-    returns them, the selection's `info_gain_bits` and the run's `meta`."""
-    return {
-        "evals": [
-            {
-                "model": ev.model,
-                "sampler": ev.sampler,
-                "confusion": {"tp": ev.cm.tp, "fp": ev.cm.fp,
-                              "tn": ev.cm.tn, "fn": ev.cm.fn},
-                "accuracy": accuracy(ev.cm),
-                "precision": precision(ev.cm),
-                "precision_defined": ev.cm.tp + ev.cm.fp > 0,
-                "recall": recall(ev.cm),
-                "recall_defined": ev.cm.tp + ev.cm.fn > 0,
-                "mcc": mcc(ev.cm),
-                "auc": ev.roc.auc,
-                "n_test_rows": ev.cm.total,
-            }
-            for ev in evals
-        ],
+def emit_report(evals, importance: dict, info_gain_bits: dict, meta: dict, out_dir) -> tuple:
+    """Write metrics.json, report.md, roc.csv and roc.svg into `out_dir`,
+    an existing directory's Path.  `evals` holds `evaluate_model`'s
+    (record, curve) pairs; the metrics.json document holds their records
+    and the context report.md shows: the `importance` columns, as
+    `normalized_importance_report` returns them, the selection's
+    `info_gain_bits` and the run's `meta`.  The document as written, and
+    the four paths."""
+    if not evals:
+        raise DataError("report has no model evaluations to emit")
+    doc = {
+        "evals": [record for record, _ in evals],
         "reference": REFERENCE_RESULTS,
         "importance": importance,
         "info_gain_bits": info_gain_bits,
         "meta": meta,
     }
-
-
-def emit_report(doc: dict, evals, out_dir) -> tuple:
-    """Write `doc`, the metrics.json document of `evals`, as metrics.json,
-    and report.md, roc.csv and roc.svg into `out_dir`, an existing
-    directory's Path.  The document as written, and the four paths."""
-    if not evals:
-        raise DataError("report has no model evaluations to emit")
     paths = [out_dir / name for name in ("metrics.json", "report.md", "roc.csv", "roc.svg")]
     written = write_json(paths[0], doc)
     texts = (_report_markdown(doc), _roc_csv(evals), _roc_svg(evals))

@@ -164,7 +164,7 @@ def init_parameters(n_features: int, config: MlpConfig):
     return weights, biases
 
 
-def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
+def fit_mlp(x, y, config: MlpConfig) -> MlpModel:
     """Train with mini-batch SGD under a seeded per-epoch shuffle, on the
     z-scores of `x`'s columns; the model keeps their `Scaler`.
 
@@ -173,8 +173,6 @@ def fit_mlp(x, y, config: MlpConfig | None = None) -> MlpModel:
     non-finite mean, or a non-finite weight or bias after the epoch,
     aborts with DivergenceError naming the epoch (1-based).
     """
-    if config is None:
-        config = MlpConfig()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -249,18 +247,17 @@ def save_mlp(model: MlpModel, path) -> None:
     write_json(path, payload, kind="mlp", compact=True)
 
 
-def load_mlp(path, n_features: int | None = None) -> MlpModel:
+def load_mlp(path, n_features: int) -> MlpModel:
     """The network saved at `path`; exit 4 unless it scores `n_features`
-    columns, when given, and its scaling and every layer's weights and
-    biases are finite and have the shapes that its `n_features` and
-    `config.hidden` give, with no `sd` negative (a constant column saves 0)."""
+    columns, and its scaling and every layer's weights and biases are
+    finite and have the shapes that `n_features` and its `config.hidden`
+    give, with no `sd` negative (a constant column saves 0)."""
     payload = read_artifact(path, "mlp", "train", {
-        "n_features": lambda d: is_int(d) and d > 0 and n_features in (None, d),
+        "n_features": lambda d: is_int(d) and d == n_features,
         "mean": list_of(is_number),  # the input scaling, without which it cannot score
         "sd": list_of(is_number),
         "loss_history": list_of(is_number),
     })
-    n_features = payload["n_features"]
     try:
         config = load_settings(MlpConfig, payload["config"])
         mean, sd = (np.asarray(payload[k], dtype=np.float64) for k in ("mean", "sd"))

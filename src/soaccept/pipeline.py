@@ -64,7 +64,7 @@ from .manifest import (
     record_stage,
     verify_chain,
 )
-from .metrics import emit_report, evaluate_model, report_to_dict
+from .metrics import emit_report, evaluate_model
 from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
 # `standardize` is not called here: perfbench/tracer.py wraps pipeline.standardize
 from .resample import apply_plan, standardize
@@ -325,16 +325,16 @@ def cmd_evaluate(cfg: RunConfig, matrix=None) -> dict:
         seed=derive_seed(cfg.seed, "importance"),
         n_rounds=cfg.settings["evaluate"]["importance_rounds"],
     )
-    doc = report_to_dict(evals, importance, selection["info_gain_bits"], meta={
+    meta = {
         "sampler": sampler,
         "seed": cfg.seed,
         "train_rows": train_rows,
         "test_rows": int(len(test_idx)),
         "retained_features": len(retained),
-    })
+    }
     report_dir = artifact(cfg, "report/{}")
     _make_dir(report_dir, "report directory")
-    doc, outputs = emit_report(doc, evals, report_dir)
+    doc, outputs = emit_report(evals, importance, selection["info_gain_bits"], meta, report_dir)
     record_stage(cfg, "evaluate", inputs, outputs)
     return doc
 

@@ -95,6 +95,12 @@ def count_code_lines(code_blocks: list[str]) -> int:
     return sum(1 for block in code_blocks for line in block.split("\n") if line.strip())
 
 
+def data_lines(name: str) -> list[str]:
+    """The stripped lines of the package's word list `name`, without the
+    blank ones and the `#` comments."""
+    text = resources.files("soaccept.data").joinpath(name).read_text("utf-8")
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+
+
 def load_stopwords() -> frozenset[str]:
-    text = resources.files("soaccept.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(w for w in (line.strip() for line in text.splitlines()) if w)
+    return frozenset(data_lines("stopwords.txt"))

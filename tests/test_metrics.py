@@ -18,7 +18,6 @@ from soaccept.metrics import (
     mcc,
     precision,
     recall,
-    report_to_dict,
     roc,
 )
 
@@ -146,11 +145,9 @@ def test_roc_matches_pair_counting_oracle(pairs):
 
 
 def _report(*evals):
-    """`evals` and their metrics.json document, as `emit_report` takes them."""
+    """`evals` and the context of their report, as `emit_report` takes them."""
     importance = {"names": ["Score", "Reputation"], "forest": [0.7, 0.3], "mlp": [0.4, 0.6]}
-    doc = report_to_dict(evals, importance, info_gain_bits={"Score": 0.51, "Reputation": 0.42},
-                         meta={"test_rows": 40})
-    return doc, evals
+    return evals, importance, {"Score": 0.51, "Reputation": 0.42}, {"test_rows": 40}
 
 
 def _toy_report():
@@ -164,8 +161,8 @@ def _toy_report():
 
 
 def test_evaluate_model_threshold():
-    ev = evaluate_model("random-forest", "none", [0, 1, 1], [0.4, 0.5, 0.9])
-    assert ev.cm == ConfusionMatrix(tp=2, fp=0, tn=1, fn=0)
+    record, _ = evaluate_model("random-forest", "none", [0, 1, 1], [0.4, 0.5, 0.9])
+    assert record["confusion"] == {"tp": 2, "fp": 0, "tn": 1, "fn": 0}
 
 
 def test_all_negative_predictions_zero_with_flag(tmp_path):
@@ -232,7 +229,7 @@ def test_roc_csv_rows(tmp_path):
     emit_report(*report, tmp_path)
     lines = (tmp_path / "roc.csv").read_text().splitlines()
     assert lines[0] == "model,sampler,fpr,tpr,threshold"
-    expected = sum(len(ev.roc.points) for ev in report[1])
+    expected = sum(len(curve.points) for _, curve in report[0])
     assert len(lines) == 1 + expected
 
 

@@ -297,7 +297,7 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     model = fit_mlp(x, y, cfg)
     path = tmp_path / "model.mlp.json"
     save_mlp(model, path)
-    loaded = load_mlp(path)
+    loaded = load_mlp(path, x.shape[1])
     assert np.array_equal(mlp_predict_proba(model, x), mlp_predict_proba(loaded, x))
     assert loaded.config == model.config
     assert loaded.loss_history == model.loss_history
@@ -313,13 +313,13 @@ def test_model_schema_checks(tmp_path):
     path = tmp_path / "model.mlp.json"
     save_mlp(fit_mlp(x, y, cfg), path)
     payload = json.loads(path.read_text("utf-8"))
-    assert load_mlp(path).n_features == payload["n_features"]
+    assert load_mlp(path, x.shape[1]).n_features == payload["n_features"]
     with pytest.raises(StageError, match="not a mlp artifact; run train first"):
         load_mlp(path, payload["n_features"] + 1)  # columns other than those it scores
     for bad in (dict(payload, schema_version=9), dict(payload, kind="random-forest")):
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(StageError, match="not a mlp artifact; run train first"):
-            load_mlp(path)
+            load_mlp(path, x.shape[1])
 
 
 def test_predict_rejects_wrong_width():

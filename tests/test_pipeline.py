@@ -304,6 +304,31 @@ def test_train_artifacts_keep_their_digests(run_dir):
     assert {rel: _sha256(run_dir / rel) for rel in TRAIN_DIGESTS} == TRAIN_DIGESTS
 
 
+def _kernel_free_report(wd) -> dict:
+    """The parts of report/smote/ that no BLAS kernel changes: metrics.json
+    without the network's record and importance column, as sorted-key
+    json, and roc.csv without the network's rows."""
+    doc = json.loads((wd / "report/smote/metrics.json").read_text("utf-8"))
+    doc["evals"] = [ev for ev in doc["evals"] if ev["model"] != "mlp"]
+    del doc["importance"]["mlp"]
+    lines = (wd / "report/smote/roc.csv").read_text("utf-8").splitlines(keepends=True)
+    return {"metrics.json": json.dumps(doc, sort_keys=True),
+            "roc.csv": "".join(line for line in lines if not line.startswith("mlp,"))}
+
+
+# sha256 of `_kernel_free_report` of the bundled fixture's run
+EVALUATE_DIGESTS = {
+    "metrics.json": "c2d8a23e82b62fecc62faa2c4785b4689a8bfe610c6845e55244c3ca9ae52b47",
+    "roc.csv": "0b48f5a01f7c42e8518184de9b819519bf8c6279c2f1ff30680dfa36c6dc2c12",
+}
+
+
+def test_evaluate_artifacts_keep_their_kernel_free_digests(run_dir):
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for name, text in _kernel_free_report(run_dir).items()}
+    assert digests == EVALUATE_DIGESTS
+
+
 def test_rerunning_one_stage_is_byte_stable(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     before = (wd / "selection.json").read_bytes()
@@ -705,6 +730,26 @@ def test_report_md_agrees_with_metrics_json(run_dir):
     assert [row[0] for row in rows] == ["random-forest", "mlp"]
 
 
+def test_roc_files_agree_with_metrics_json(run_dir):
+    # each record's curve in roc.csv, in the records' order, has its AUC
+    # as trapezoid area, and roc.svg's legend names the record
+    report = run_dir / "report/smote"
+    evals = json.loads((report / "metrics.json").read_text("utf-8"))["evals"]
+    header, *lines = (report / "roc.csv").read_text("utf-8").splitlines()
+    assert header == "model,sampler,fpr,tpr,threshold"
+    curves = {}
+    for line in lines:
+        model, sampler, fpr, tpr, _ = line.split(",")
+        curves.setdefault((model, sampler), []).append((float(fpr), float(tpr)))
+    assert list(curves) == [(ev["model"], ev["sampler"]) for ev in evals]
+    svg = (report / "roc.svg").read_text("utf-8")
+    for ev in evals:
+        points = curves[ev["model"], ev["sampler"]]
+        area = sum((x1 - x0) * (y0 + y1) / 2.0 for (x0, y0), (x1, y1) in zip(points, points[1:]))
+        assert abs(area - ev["auc"]) <= 1e-6, ev["model"]
+        assert f"{ev['model']} / {ev['sampler']} (AUC {ev['auc']:.3f})" in svg
+
+
 def test_search_writes_trials(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     cfg = make_config(
@@ -780,6 +825,7 @@ def test_artifacts_before_the_network_do_not_depend_on_the_blas_kernel(run_dir, 
     assert done.returncode == 0, done.stderr
     for rel in _KERNEL_FREE:
         assert (wd / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
+    assert _kernel_free_report(wd) == _kernel_free_report(run_dir)
 
 
 # -- ranking ----------------------------------------------------------------
