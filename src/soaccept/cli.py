@@ -40,8 +40,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         help="worker processes for the train stage, which fits the network as one"
-        " task beside contiguous runs of the forest's tree indices (at most the CPU"
-        " count); the randomized search runs in one process",
+        " task beside contiguous runs of the forest's tree indices (default and"
+        " cap: the CPUs this process may run on; 1 fits both in-process); the"
+        " randomized search runs in one process",
     )
     p.add_argument("--out", metavar="DIR", help="work directory (default: workdir)")
     p.add_argument("--posts", metavar="FILE", help="posts XML dump")

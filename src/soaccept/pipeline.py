@@ -70,7 +70,7 @@ from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
 from .resample import apply_plan, standardize
 from .seeding import derive_seed
 from .selection import select_features
-from .settings import RunConfig
+from .settings import RunConfig, available_cpus
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +188,25 @@ def _worker_count(threads: int, tasks: int) -> int:
     CPUs this process may run on; 1 where the platform cannot fork."""
     if not hasattr(os, "fork"):
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(threads, tasks, cpus)
+    return min(threads, tasks, available_cpus())
 
 
 def _fit_models(x, y, params: RfParams, config: MlpConfig, threads: int):
     """The forest and the network, both on `x`.
 
-    With more than one worker the fits share one pool of forked
-    processes: the network goes in first, as one task, and the trees
-    follow through the pool's map, in at most one contiguous run of tree
-    indices per worker, joined in index order.  Fork starts workers
-    without re-importing anything, which spawn would pay for on every
-    run.  The command line starts no thread of its own, and NumPy's
-    OpenBLAS stops its worker threads at the fork and restarts them on
-    its next call.  The pool modules are imported here so that loading
-    the package, and so every `rank` call, does not pay for them.  The
-    network's task is `mlp.fit_mlp`, never whatever this module binds to
-    `fit_mlp`, which the pool might not be able to pickle.
+    One worker, as `threads` 1 or a single CPU gives, fits both in this
+    process, one after the other.  More, as the default `threads` gives
+    on several CPUs, share one pool of forked processes: the network goes
+    in first, as one task, and the trees follow through the pool's map,
+    in at most one contiguous run of tree indices per worker, joined in
+    index order.  Fork starts workers without re-importing anything,
+    which spawn would pay for on every run.  The command line starts no
+    thread of its own, and NumPy's OpenBLAS stops its worker threads at
+    the fork and restarts them on its next call.  The pool modules are
+    imported here so that loading the package, and so every `rank` call,
+    does not pay for them.  The network's task is `mlp.fit_mlp`, never
+    whatever this module binds to `fit_mlp`, which the pool might not be
+    able to pickle.
     """
     workers = _worker_count(threads, 1 + params.n_estimators)
     if workers == 1:

@@ -162,8 +162,11 @@ def test_readme_defaults_table_matches_the_code():
     for name, default in documented.items():
         if default == "grids":
             assert name.startswith("search.") and isinstance(flat[name], list), name
+        elif default == "CPUs":
+            assert name == "threads", name
         else:
             assert json.loads(default.strip("`")) == flat[name], name
+    assert flat["threads"] == settings.available_cpus()
 
 
 # stage config digests: a change to one makes every manifest written before
@@ -359,12 +362,13 @@ def test_thread_count_does_not_change_models(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     for method in ("smote", "adasyn"):
         written = []
-        # 16 workers are asked for; at most the CPU count are started
-        for threads in (1, 2, 16):
-            cmd_train(make_config(wd, threads=threads, **{"resample.method": method}))
+        # 16 workers are asked for; at most the CPU count are started; the
+        # last fit takes the default, the CPU count
+        for threads in ({"threads": 1}, {"threads": 2}, {"threads": 16}, {}):
+            cmd_train(make_config(wd, **threads, **{"resample.method": method}))
             written.append(_files(wd / "models" / method))
         assert len(written[0]) == 4
-        assert written[0] == written[1] == written[2], method
+        assert written[0] == written[1] == written[2] == written[3], method
     assert _files(wd / "models/smote") == _files(run_dir / "models/smote")
 
 
