@@ -39,9 +39,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        help="worker processes for the train stage, which fits the network as one"
-        " task beside contiguous runs of the forest's tree indices (default and"
-        " cap: the CPUs this process may run on; 1 fits both in-process); the"
+        help="processes for the train stage: this one fits the network while the"
+        " others grow contiguous runs of the forest's tree indices (at most the"
+        " CPUs this process may run on; 1 fits both in-process; default 2); the"
         " randomized search runs in one process",
     )
     p.add_argument("--out", metavar="DIR", help="work directory (default: workdir)")

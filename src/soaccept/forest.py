@@ -10,8 +10,9 @@ Every tree draws from its own seeded generator, so a tree and its bag
 depend on its index alone.  `fit_forest` grows the trees through a `map`
 over their indices and joins the pairs it yields, in index order, into
 the model (out-of-bag error, importances).  The train stage hands it a
-pool's map, whose forked workers grow the trees beside the network (see
-`pipeline._fit_models`); this module starts no process.
+pool's map, whose forked workers grow the trees while the calling
+process fits the network (see `pipeline._fit_models`); this module
+starts no process.
 """
 
 from __future__ import annotations

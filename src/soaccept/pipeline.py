@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +69,7 @@ from .mlp import MlpConfig, fit_mlp, load_mlp, mlp_predict_proba, save_mlp
 from .resample import apply_plan, standardize
 from .seeding import derive_seed
 from .selection import select_features
-from .settings import RunConfig, available_cpus
+from .settings import RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +187,29 @@ def _worker_count(threads: int, tasks: int) -> int:
     CPUs this process may run on; 1 where the platform cannot fork."""
     if not hasattr(os, "fork"):
         return 1
-    return min(threads, tasks, available_cpus())
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(threads, tasks, cpus)
 
 
 def _fit_models(x, y, params: RfParams, config: MlpConfig, threads: int):
     """The forest and the network, both on `x`.
 
-    One worker, as `threads` 1 or a single CPU gives, fits both in this
-    process, one after the other.  More, as the default `threads` gives
-    on several CPUs, share one pool of forked processes: the network goes
-    in first, as one task, and the trees follow through the pool's map,
-    in at most one contiguous run of tree indices per worker, joined in
-    index order.  Fork starts workers without re-importing anything,
-    which spawn would pay for on every run.  The command line starts no
-    thread of its own, and NumPy's OpenBLAS stops its worker threads at
-    the fork and restarts them on its next call.  The pool modules are
-    imported here so that loading the package, and so every `rank` call,
-    does not pay for them.  The network's task is `mlp.fit_mlp`, never
-    whatever this module binds to `fit_mlp`, which the pool might not be
-    able to pickle.
+    One process, as `threads` 1 or a single CPU gives, fits both here,
+    one after the other.  With more, as the default 2 gives on two or
+    more CPUs, the forest's trees go to a pool of the other forked
+    processes, in at most one contiguous run of tree indices per worker,
+    joined in index order, while this process fits the network.  So the
+    one fit on BLAS stays in one process, and whatever this module binds
+    to `fit_mlp` and `fit_forest`, such as a tracer's wrappers, runs here
+    and is never pickled.  Fork starts workers without re-importing
+    anything, which spawn would pay for on every run.  The command line
+    starts no thread of its own, and NumPy's OpenBLAS stops its worker
+    threads at the fork and restarts them on its next call.  The pool
+    modules are imported here so that loading the package, and so every
+    `rank` call, does not pay for them.
     """
     workers = _worker_count(threads, 1 + params.n_estimators)
     if workers == 1:
@@ -214,20 +217,26 @@ def _fit_models(x, y, params: RfParams, config: MlpConfig, threads: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    from . import mlp
+    network = []
+
+    def grow(fn, indices):
+        # the pool's map queues every run of trees before it returns, so
+        # the network is fitted here while the workers grow them
+        runs = pool.map(fn, indices, chunksize=math.ceil(params.n_estimators / (workers - 1)))
+        network.append(fit_mlp(x, y, config))
+        return runs
 
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        network = pool.submit(mlp.fit_mlp, x, y, config)
-        runs = partial(pool.map, chunksize=math.ceil(params.n_estimators / workers))
-        return fit_forest(x, y, params, map=runs), network.result()
+    with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context) as pool:
+        forest = fit_forest(x, y, params, map=grow)
+    return forest, network[0]
 
 
 def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     """features.csv + selection.json -> fitted models under models/<sampler>/.
 
-    `threads` worker processes fit the forest's trees and the network
-    side by side (`_fit_models`); `matrix` is features.csv already
+    `threads` processes fit the forest's trees and the network side by
+    side (`_fit_models`); `matrix` is features.csv already
     parsed, as for `cmd_select`.
     """
     inputs = ensure_fresh(cfg, "train")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from dataclasses import dataclass
 
 from .codec import checked, settings_of
@@ -26,21 +25,12 @@ from .resample import ResamplePlan
 from .seeding import derive_seed
 
 
-def available_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, or the
-    machine's count where the platform has no affinity call."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 DEFAULT_CONFIG = {
     "posts": None,
     "users": None,
     "workdir": "workdir",
     "seed": 0,
-    "threads": available_cpus(),
+    "threads": 2,
     "filter": {
         "tags": ["java", "javascript"],
         "years": [2014, 2016],

@@ -942,15 +942,14 @@ def test_rank_leaves_process_pool_unloaded(cli_dir, tmp_path, model, module):
 @pytest.mark.parametrize("cpus, module", [(1, "multiprocessing"),
                                            (1, "concurrent.futures"),
                                            (2, "concurrent.futures")])
-def test_default_run_fits_on_the_process_pool_given_two_cpus(tmp_path, cpus, module):
-    # pinned to `cpus` CPUs before soaccept is imported, as DEFAULT_CONFIG
-    # reads the CPU count then: the default threads is that count, and a
-    # default run imports the pool only with two workers
+def test_default_run_uses_the_pool_only_on_several_cpus(tmp_path, cpus, module):
+    # pinned to `cpus` CPUs: the default threads, 2, is capped by the CPU
+    # count, so a default run imports the pool only on two
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no affinity call on this platform")
     if len(os.sched_getaffinity(0)) < cpus:
         pytest.skip(f"needs {cpus} CPUs")
-    body = (f"import os\nos.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])\n"
-            f"from soaccept.settings import load_config\n"
-            f"assert load_config().threads == {cpus}\n{_MAIN_BODY}")
+    body = f"import os\nos.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])\n{_MAIN_BODY}"
     assert _loaded(module, body, "run", *common(tmp_path / "wd")) == (cpus > 1)
 
 

@@ -162,11 +162,8 @@ def test_readme_defaults_table_matches_the_code():
     for name, default in documented.items():
         if default == "grids":
             assert name.startswith("search.") and isinstance(flat[name], list), name
-        elif default == "CPUs":
-            assert name == "threads", name
         else:
             assert json.loads(default.strip("`")) == flat[name], name
-    assert flat["threads"] == settings.available_cpus()
 
 
 # stage config digests: a change to one makes every manifest written before
@@ -362,13 +359,12 @@ def test_thread_count_does_not_change_models(run_dir, tmp_path):
     wd = copy_workdir(run_dir, tmp_path)
     for method in ("smote", "adasyn"):
         written = []
-        # 16 workers are asked for; at most the CPU count are started; the
-        # last fit takes the default, the CPU count
-        for threads in ({"threads": 1}, {"threads": 2}, {"threads": 16}, {}):
-            cmd_train(make_config(wd, **threads, **{"resample.method": method}))
+        # 16 workers are asked for; at most the CPU count are started
+        for threads in (1, 2, 16):
+            cmd_train(make_config(wd, threads=threads, **{"resample.method": method}))
             written.append(_files(wd / "models" / method))
         assert len(written[0]) == 4
-        assert written[0] == written[1] == written[2] == written[3], method
+        assert written[0] == written[1] == written[2], method
     assert _files(wd / "models/smote") == _files(run_dir / "models/smote")
 
 
@@ -400,14 +396,30 @@ def _rebound(fn):
 
 def test_train_pool_runs_with_fit_mlp_rebound(run_dir, tmp_path, monkeypatch):
     # wrappers bound over `pipeline.fit_mlp` and `pipeline.fit_forest`, as
-    # a tracer installs them, cannot be pickled; the pool is handed the
-    # module functions `mlp.fit_mlp` and `forest._fit_one`, so it must
-    # still fit both models, and the same ones
+    # a tracer installs them, cannot be pickled; the pool is handed only
+    # `forest._fit_one`, so it must still fit both models, and the same ones
     wd = copy_workdir(run_dir, tmp_path)
     for name in ("fit_mlp", "fit_forest"):
         monkeypatch.setattr(pipeline, name, _rebound(getattr(pipeline, name)))
     cmd_train(make_config(wd, threads=2))
     assert _files(wd / "models/smote") == _files(run_dir / "models/smote")
+
+
+def test_train_pool_fits_the_network_in_this_process(run_dir, tmp_path, monkeypatch):
+    # a call made in a forked worker would not reach this list, so the
+    # network's fit, and a tracer's count of it, stays in this process
+    if pipeline._worker_count(2, 2) < 2:
+        pytest.skip("needs 2 CPUs and fork for a pool")
+    calls = []
+    fit = pipeline.fit_mlp
+
+    def counting(*args):
+        calls.append(os.getpid())
+        return fit(*args)
+
+    monkeypatch.setattr(pipeline, "fit_mlp", counting)
+    cmd_train(make_config(copy_workdir(run_dir, tmp_path), threads=2))
+    assert calls == [os.getpid()]
 
 
 def test_run_parses_features_csv_once(tmp_path, monkeypatch):
