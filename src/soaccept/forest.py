@@ -269,10 +269,12 @@ def fit_forest(x, y, params: RfParams, map=map) -> ForestModel:
     n, d = x.shape
 
     trees = []
+    raw = np.zeros(d)
     oob_sum = np.zeros(n)
     oob_votes = np.zeros(n, dtype=np.int64)
     for tree, in_bag in map(partial(_fit_one, x, y, params), range(params.n_estimators)):
         trees.append(tree)
+        raw += tree.feature_decrease
         out = ~in_bag
         if out.any():
             oob_sum[out] += tree_predict_proba1(tree, x[out])
@@ -283,9 +285,6 @@ def fit_forest(x, y, params: RfParams, map=map) -> ForestModel:
         pred = (oob_sum[voted] / oob_votes[voted]) >= 0.5
         oob_error = float(np.mean(pred.astype(np.int64) != y[voted]))
 
-    raw = np.zeros(d)
-    for tree in trees:
-        raw += tree.feature_decrease
     raw /= len(trees)
     total = float(raw.sum())
     importances = raw / total if total > 0.0 else np.full(d, 1.0 / d)

@@ -83,16 +83,14 @@ def stratified_kfold(y, n_folds: int, seed: int):
     if n_folds > y.size:
         raise DataError("more folds than rows")
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(n_folds)]
+    fold_of = np.empty(y.size, dtype=np.int64)
     for label in np.unique(y):
-        members = np.nonzero(y == label)[0]
-        for i, row in enumerate(members[rng.permutation(members.size)]):
-            folds[i % n_folds].append(int(row))
-    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+        members = np.flatnonzero(y == label)
+        fold_of[members[rng.permutation(members.size)]] = np.arange(members.size) % n_folds
+    return [np.flatnonzero(fold_of == f) for f in range(n_folds)]
 
 
-def _cv_score(combo: dict, fold_sets, space: SearchSpace):
-    key = ":".join(str(combo[k]) for k in sorted(combo))
+def _cv_score(combo: dict, key: str, fold_sets, space: SearchSpace):
     accuracies = []
     for fi, (x_fit, y_fit, x_val, y_val) in enumerate(fold_sets):
         params = RfParams(seed=derive_seed(space.seed, f"fit:{key}:fold:{fi}"), **combo)
@@ -131,10 +129,10 @@ def random_search(x, y, space: SearchSpace, plan: ResamplePlan):
     trials = []
     for _ in range(space.n_iterations):
         combo = {name: grid[int(rng.integers(len(grid)))] for name, grid in grids}
-        cache_key = tuple(sorted(combo.items()))
-        if cache_key not in cache:
-            cache[cache_key] = _cv_score(combo, fold_sets, space)
-        accuracies = cache[cache_key]
+        key = ":".join(str(combo[k]) for k in sorted(combo))  # seeds each fold's fit
+        if key not in cache:
+            cache[key] = _cv_score(combo, key, fold_sets, space)
+        accuracies = cache[key]
         trials.append({"params": combo, "fold_accuracies": list(accuracies),
                        "mean_accuracy": float(np.mean(accuracies))})
     winner = min(trials, key=lambda t: (-t["mean_accuracy"], t["params"]["n_estimators"],

@@ -31,10 +31,6 @@ class DivergenceError(DataError):
             "lower the learning rate"
         )
 
-    def __reduce__(self):
-        # rebuilt from the epoch alone, so it survives a worker's pickle
-        return type(self), (self.epoch,)
-
 
 @dataclass(frozen=True)
 class MlpConfig:

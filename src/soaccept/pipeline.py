@@ -237,7 +237,7 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
 
     `threads` processes fit the forest's trees and the network side by
     side (`_fit_models`); `matrix` is features.csv already
-    parsed, as for `cmd_select`.
+    parsed, as for `cmd_select`.  Returns what `soaccept train` prints.
     """
     inputs = ensure_fresh(cfg, "train")
     if matrix is None:
@@ -263,39 +263,21 @@ def cmd_train(cfg: RunConfig, matrix=None) -> dict:
     medians = np.median(matrix.x[train_idx], axis=0)
 
     _make_dir(artifact(cfg, "models/{}"), "model directory")
-    outputs = [artifact(cfg, "models/{}/model.rf.json"), artifact(cfg, "models/{}/model.mlp.json")]
+    outputs = [artifact(cfg, f"models/{{}}/{name}") for name in
+               ("model.rf.json", "model.mlp.json", "medians.json", "split.json", "search.json")]
     save_forest(forest, outputs[0])
     save_mlp(mlp, outputs[1])
-    # label -> (kind, payload)
-    payloads = {
-        "models/{}/medians.json": ("medians", {
-            "names": list(FEATURE_NAMES),
-            "values": medians.tolist(),
-        }),
-        "models/{}/split.json": ("split", {
-            "train_fraction": cfg.split.train_fraction,
-            "train": train_idx.tolist(),
-            "test": test_idx.tolist(),
-        }),
-    }
+    write_json(outputs[2], {"names": list(FEATURE_NAMES), "values": medians.tolist()}, "medians")
+    write_json(outputs[3], {"train_fraction": cfg.split.train_fraction,
+                            "train": train_idx.tolist(), "test": test_idx.tolist()}, "split")
     if search is None:
         # a search.json left by an earlier, searching train would describe
         # another forest than the one beside it
-        artifact(cfg, "models/{}/search.json").unlink(missing_ok=True)
+        outputs.pop().unlink(missing_ok=True)
     else:
-        payloads["models/{}/search.json"] = (None, search)
-    for label, (kind, payload) in payloads.items():
-        outputs.append(artifact(cfg, label))
-        write_json(outputs[-1], payload, kind)
+        write_json(outputs[4], search)
     record_stage(cfg, "train", inputs, outputs)
-    return {
-        "train_rows": int(len(train_idx)),
-        "test_rows": int(len(test_idx)),
-        "resampled_rows": int(len(y_res)),
-        "oob_error": forest.oob_error,
-        "mlp_final_loss": mlp.loss_history[-1] if mlp.loss_history else None,
-        "searched": search is not None,
-    }
+    return {"resampled_rows": int(len(y_res)), "oob_error": forest.oob_error}
 
 
 def cmd_evaluate(cfg: RunConfig, matrix=None) -> dict:
@@ -351,21 +333,20 @@ def cmd_run(cfg: RunConfig) -> dict:
 
     features.csv is parsed once, after the stage that writes it, and the
     matrix is handed to the three stages that read it.  Each file is
-    hashed once (`manifest.digest_memo`).
+    hashed once (`manifest.digest_memo`).  Returns what `soaccept run`
+    prints.
     """
     with digest_memo():
         ingest_report = cmd_ingest(cfg)
         feature_stats = cmd_features(cfg)
         matrix = read_features_csv(artifact(cfg, "features.csv"))
         selection = cmd_select(cfg, matrix)
-        train_summary = cmd_train(cfg, matrix)
+        cmd_train(cfg, matrix)
         cmd_evaluate(cfg, matrix)
     return {
         "questions": ingest_report["questions_retained"],
-        "answers": ingest_report["answers_retained"],
         "feature_rows": feature_stats["n_rows"],
         "retained_features": len(selection["retained"]),
-        "train": train_summary,
         "report_dir": str(artifact(cfg, "report/{}")),
     }
 

@@ -76,6 +76,32 @@ def test_stratified_folds_partition_and_balance():
         assert np.array_equal(a, b)
 
 
+def _folds_by_dealing(y, n_folds, seed):
+    """Stratified folds dealt out row by row: each label's rows, in one
+    permutation each, go round-robin to the folds."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(n_folds)]
+    for label in np.unique(y):
+        members = np.nonzero(y == label)[0]
+        for i, row in enumerate(members[rng.permutation(members.size)]):
+            folds[i % n_folds].append(int(row))
+    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+
+
+def test_stratified_folds_match_round_robin_dealing():
+    rng = np.random.default_rng(45)
+    for case in range(500):
+        n = int(rng.integers(2, 300))
+        y = rng.integers(0, int(rng.integers(1, 4)), n).astype(np.int8)
+        n_folds = int(rng.integers(2, min(n, 10) + 1))
+        folds = stratified_kfold(y, n_folds, seed=case)
+        expected = _folds_by_dealing(y, n_folds, seed=case)
+        assert len(folds) == n_folds
+        for got, want in zip(folds, expected):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
 def test_stratified_folds_validation():
     with pytest.raises(DataError, match="n_folds must be >= 2"):
         stratified_kfold(np.array([0, 1]), 1, seed=0)

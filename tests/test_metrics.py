@@ -144,6 +144,39 @@ def test_roc_matches_pair_counting_oracle(pairs):
     assert abs(curve.auc - _auc_by_pairs(y, s)) < 1e-12
 
 
+def _roc_by_loops(y, s):
+    """The threshold sweep written out: one point per distinct score from
+    the running positive count, then the trapezoids summed in order."""
+    order = np.argsort(-s, kind="stable")
+    ys, ss = y[order], s[order]
+    cum_pos = np.cumsum(ys)
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+    points = [(0.0, 0.0, math.inf)]
+    for i in np.nonzero(np.append(ss[1:] != ss[:-1], True))[0]:
+        tp = int(cum_pos[i])
+        points.append(((int(i) + 1 - tp) / n_neg, tp / n_pos, float(ss[i])))
+    area = 0.0
+    for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
+        area += (fpr1 - fpr0) * (tpr0 + tpr1) / 2.0
+    return tuple(points), area
+
+
+@pytest.mark.parametrize("ties", [True, False])
+def test_roc_matches_the_loop_construction_bit_for_bit(ties):
+    rng = np.random.default_rng(45)
+    for _ in range(300):
+        n = int(rng.integers(2, 400))
+        y = rng.integers(0, 2, n).astype(np.int8)
+        y[rng.integers(1, n)] = 1 - y[0]  # both classes
+        s = rng.integers(0, 7, n) / 7 if ties else rng.permutation(n) / n + rng.random()
+        points, auc = _roc_by_loops(y, s)
+        curve = roc(y, s)
+        assert curve.points == points
+        assert curve.auc == auc
+        assert all(type(v) is float for point in curve.points for v in point)
+        assert type(curve.auc) is float
+
+
 def _report(*evals):
     """`evals` and the context of their report, as `emit_report` takes them."""
     importance = {"names": ["Score", "Reputation"], "forest": [0.7, 0.3], "mlp": [0.4, 0.6]}

@@ -1,6 +1,5 @@
 import json
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -195,13 +194,6 @@ def test_divergence_error_names_epoch():
     except DivergenceError as err:
         assert err.epoch >= 1
         assert f"epoch {err.epoch}" in str(err)
-
-
-def test_divergence_error_survives_pickle():
-    err = pickle.loads(pickle.dumps(DivergenceError(3)))
-    assert type(err) is DivergenceError
-    assert err.epoch == 3
-    assert str(err) == str(DivergenceError(3))
 
 
 def _fit_with_minibatch_epoch_loss(x, y, config):
